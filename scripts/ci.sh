@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI in one command: release build + full test suite (once with
+# Tier-1 CI in one command: release build, the benchmark's standalone
+# build and harness self-test, and the full test suite (once with
 # the default SIMD dispatch, once forced to the scalar oracle via
 # CEGMA_SIMD=scalar), then the
 # ThreadSanitizer configuration of the same suite at CEGMA_THREADS=8
@@ -17,6 +18,12 @@ jobs="${1:-$(nproc)}"
 echo "== tier-1: release build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
+
+# The benchmark (perfbench/) builds the program's libraries from src/
+# in its own CMake tree; building it here and running its harness
+# self-test makes a src/ change that breaks that build fail CI.
+echo "== tier-1: benchmark build + harness self-test =="
+python3 perfbench/run.py --self-test
 
 echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$jobs"

@@ -5,6 +5,8 @@
  * readout over summed node features (Table I row 1).
  */
 
+#include <utility>
+
 #include "common/rng.hh"
 #include "emf/emf.hh"
 #include "gmn/memo.hh"
@@ -33,13 +35,15 @@ class GmnLiModel : public GmnModel
     Detail forwardDetailed(GraphPairView pair) const override;
 
   private:
-    /** Cross-graph attention message: x - softmax(S) y (per [24]). */
+    /**
+     * Cross-graph attention message: x - softmax(S) y (per [24]).
+     * Takes S by value: the softmax runs in place on it.
+     */
     static Matrix
-    crossMessage(const Matrix &x, const Matrix &s, const Matrix &other)
+    crossMessage(const Matrix &x, Matrix s, const Matrix &other)
     {
-        Matrix attn = s;
-        softmaxRowsInPlace(attn);
-        Matrix weighted = matmul(attn, other);
+        softmaxRowsInPlace(s);
+        Matrix weighted = matmul(s, other);
         Matrix out(x.rows(), x.cols());
         for (size_t i = 0; i < x.size(); ++i)
             out.data()[i] = x.data()[i] - weighted.data()[i];
@@ -47,21 +51,18 @@ class GmnLiModel : public GmnModel
     }
 
     /**
-     * EMF-skipped cross message: message row i is a deterministic
-     * function of (x row i, S row i, all of `other`), and duplicate x
-     * rows have duplicate S rows, so computing the unique rows only
-     * and scattering back through the confirmed map is bit-identical
-     * to the dense message.
+     * EMF-skipped cross message from the S rows `su` of `dx`'s unique
+     * rows: message row i is a deterministic function of (x row i,
+     * S row i, all of `other`), and duplicate x rows have duplicate S
+     * rows, so computing the unique rows only and scattering back
+     * through the confirmed map is bit-identical to the dense message.
      */
     static Matrix
-    crossMessageDedup(const Matrix &x, const Matrix &s,
-                      const Matrix &other, const DedupMap &dx)
+    crossMessageDedup(const Matrix &x, Matrix su, const Matrix &other,
+                      const DedupMap &dx)
     {
-        if (!dx.anyDuplicates())
-            return crossMessage(x, s, other);
         Matrix xu = gatherRows(x, dx.uniqueRows);
-        Matrix su = gatherRows(s, dx.uniqueRows);
-        return scatterRows(crossMessage(xu, su, other), dx);
+        return scatterRows(crossMessage(xu, std::move(su), other), dx);
     }
 
     mutable Rng rng_;
@@ -101,9 +102,12 @@ GmnLiModel::forwardDetailed(GraphPairView pair) const
     detail.yLayers.push_back(y);
 
     for (unsigned l = 0; l < config_.numLayers; ++l) {
+        // With dedup on, the confirmed maps also give the MGNN layer
+        // its node classes; with it off they stay empty (one class
+        // per node).
+        DedupMap dx, dy;
         Matrix s, cross_x, cross_y;
         if (infer_.dedupMatching) {
-            DedupMap dx, dy;
             {
                 obs::StageScope stage(
                     "dedup", stageHist(&obs::StageSink::dedupUs),
@@ -117,8 +121,11 @@ GmnLiModel::forwardDetailed(GraphPairView pair) const
                                   stageHist(&obs::StageSink::matchUs),
                                   &obs::StageAccum::matchNs);
             s = similarityMatrixDedup(x, y, config_.similarity, dx, dy);
-            cross_x = crossMessageDedup(x, s, y, dx);
-            cross_y = crossMessageDedup(y, transpose(s), x, dy);
+            // y's unique rows of S^T are S's columns at dy.uniqueRows.
+            cross_x = crossMessageDedup(x, gatherRows(s, dx.uniqueRows),
+                                        y, dx);
+            cross_y = crossMessageDedup(
+                y, gatherColumns(s, dy.uniqueRows), x, dy);
         } else {
             obs::StageScope stage("match",
                                   stageHist(&obs::StageSink::matchUs),
@@ -127,16 +134,16 @@ GmnLiModel::forwardDetailed(GraphPairView pair) const
             cross_x = crossMessage(x, s, y);
             cross_y = crossMessage(y, transpose(s), x);
         }
-        detail.simLayers.push_back(s);
+        detail.simLayers.push_back(std::move(s));
 
         {
             obs::StageScope stage("embed",
                                   stageHist(&obs::StageSink::embedUs),
                                   &obs::StageAccum::embedNs);
             x = layers_[l].forward(pair.target, x, cross_x,
-                                   wl_t.signatures[l]);
+                                   wl_t.signatures[l], dx.repOf);
             y = layers_[l].forward(pair.query, y, cross_y,
-                                   wl_q.signatures[l]);
+                                   wl_q.signatures[l], dy.repOf);
         }
         detail.xLayers.push_back(x);
         detail.yLayers.push_back(y);

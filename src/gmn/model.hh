@@ -102,8 +102,10 @@ struct InferenceOptions
 {
     /**
      * Run the matching stage EMF-skipped: hash node features, compute
-     * similarity on the unique-row block only, scatter back
-     * (GMN-Li additionally dedups its cross-attention messages).
+     * similarity on the unique-row block only, scatter back. GMN-Li
+     * additionally dedups its cross-attention messages and, through
+     * the same confirmed classes, its embedding stage (one edge-MLP
+     * row per distinct arc, one update-MLP row per distinct node).
      */
     bool dedupMatching = false;
 

@@ -185,6 +185,18 @@ gatherRows(const Matrix &m, const std::vector<uint32_t> &rows)
 }
 
 Matrix
+gatherColumns(const Matrix &m, const std::vector<uint32_t> &cols)
+{
+    Matrix out(cols.size(), m.rows());
+    for (size_t i = 0; i < m.rows(); ++i) {
+        const float *src = m.row(i);
+        for (size_t j = 0; j < cols.size(); ++j)
+            out.at(j, i) = src[cols[j]];
+    }
+    return out;
+}
+
+Matrix
 scatterRows(const Matrix &block, const DedupMap &map)
 {
     Matrix out(map.repOf.size(), block.cols());

@@ -101,6 +101,13 @@ DedupMap confirmDedup(const Matrix &features, const EmfResult &emf);
 Matrix gatherRows(const Matrix &m, const std::vector<uint32_t> &rows);
 
 /**
+ * Gather `cols` of `m` as rows: a `cols.size() x m.rows()` matrix
+ * whose row j is column `cols[j]` of `m` (rows of the transpose,
+ * without transposing the rest).
+ */
+Matrix gatherColumns(const Matrix &m, const std::vector<uint32_t> &cols);
+
+/**
  * Expand a unique-row block back to one row per original index:
  * `out.row(i) = block.row(map.repOf[i])`.
  */

@@ -70,7 +70,6 @@ struct SearchService::BatchWork : PipelineItem
     std::vector<RetrievalStages> stages;
     std::vector<size_t> offsets;
     std::vector<double> scores;
-    SteadyTime done{};
 };
 
 std::vector<SearchHit>
@@ -859,7 +858,6 @@ SearchService::stageMatch(BatchWork &work)
         matchCascade(work);
     else
         matchExhaustive(work);
-    work.done = SteadyClock::now();
 }
 
 void
@@ -925,7 +923,7 @@ SearchService::headExhaustive(BatchWork &work)
         metrics_.recordRetrieval(num_candidates, num_candidates,
                                  num_candidates);
         finishQuery(work.live[q], std::move(result), work.flushed,
-                    work.done, static_cast<uint32_t>(num_queries),
+                    static_cast<uint32_t>(num_queries),
                     work.accums ? &work.accums[q] : nullptr);
     }
 }
@@ -1026,17 +1024,19 @@ SearchService::headCascade(BatchWork &work)
                                  work.stages[q].survivors,
                                  work.stages[q].shortlisted);
         finishQuery(work.live[q], std::move(result), work.flushed,
-                    work.done, static_cast<uint32_t>(num_queries),
+                    static_cast<uint32_t>(num_queries),
                     work.accums ? &work.accums[q] : nullptr);
     }
 }
 
 void
 SearchService::finishQuery(Pending &pending, QueryResult result,
-                           SteadyTime flushed, SteadyTime done,
-                           uint32_t batch_size,
+                           SteadyTime flushed, uint32_t batch_size,
                            const obs::StageAccum *accum)
 {
+    // Completion is stamped here, in the head stage, so every wall
+    // figure below covers the match -> head wait and the head stage.
+    const SteadyTime done = SteadyClock::now();
     result.queueMs = msSince(pending.submitted, flushed);
     result.totalMs = msSince(pending.submitted, done);
     result.batchSize = batch_size;

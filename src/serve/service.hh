@@ -444,9 +444,9 @@ class SearchService
     void matchCascade(BatchWork &work);
     void headExhaustive(BatchWork &work);
     void headCascade(BatchWork &work);
+    /** Fill `result`'s wall figures, record them, deliver it. */
     void finishQuery(Pending &pending, QueryResult result,
-                     SteadyTime flushed, SteadyTime done,
-                     uint32_t batch_size,
+                     SteadyTime flushed, uint32_t batch_size,
                      const obs::StageAccum *accum);
     void freezeGauges();
     void startAdminServer();

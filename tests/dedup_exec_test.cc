@@ -19,6 +19,7 @@
 #include "gmn/model.hh"
 #include "gmn/similarity.hh"
 #include "graph/generators.hh"
+#include "nn/mgnn.hh"
 
 namespace cegma {
 namespace {
@@ -143,6 +144,22 @@ TEST_F(DedupExecTest, ForcedTagCollisionFallsBackToMemcmp)
         Matrix dedup_t = similarityMatrixDedup(y, x, kind, dy, map);
         EXPECT_TRUE(dense_t.equals(dedup_t)) << similarityName(kind);
     }
+
+    // The MGNN layer takes the confirmed map as its node classes: its
+    // output must equal the layer run without classes. On the cycle
+    // 0-1-3-2-0 the duplicate rows 1 and 2 also share their arcs'
+    // message rows, so both the arc and the node dedup engage.
+    Rng rng(5);
+    MgnnLayer layer(3, 4, rng);
+    Graph g = Graph::fromEdges(4, {{0, 1}, {1, 3}, {3, 2}, {2, 0}});
+    Matrix cross(4, 3,
+                 {0.5f, 0.5f, 0.5f,    //
+                  -1.0f, 2.0f, 0.0f,   //
+                  -1.0f, 2.0f, 0.0f,   //
+                  3.0f, -3.0f, 1.0f});
+    Matrix plain = layer.forward(g, x, cross, {});
+    Matrix with_map = layer.forward(g, x, cross, {}, map.repOf);
+    EXPECT_TRUE(plain.equals(with_map));
 }
 
 TEST_F(DedupExecTest, ScatterRowsReplicatesRepresentatives)
@@ -210,10 +227,16 @@ expectForwardBitIdentical(ModelId id, const GraphPair &pair)
 
 TEST_F(DedupExecTest, GmnLiForwardBitIdenticalAllThreads)
 {
-    GraphPair pair = dupHeavyPair(21);
-    for (uint32_t threads : kThreadCounts) {
-        ThreadPool::instance().setThreads(threads);
-        expectForwardBitIdentical(ModelId::GmnLi, pair);
+    // The serving benchmark's shape as well: a fixed-size 430-node
+    // RD-B graph (the dataset's mean) and its 1-edge clone.
+    Rng rng(24);
+    Graph rdb = makeDatasetGraph(DatasetId::RD_B, 430, rng);
+    GraphPair rdb_clone{rdb, rdb.substituteEdges(1, rng), true};
+    for (const GraphPair &pair : {dupHeavyPair(21), rdb_clone}) {
+        for (uint32_t threads : kThreadCounts) {
+            ThreadPool::instance().setThreads(threads);
+            expectForwardBitIdentical(ModelId::GmnLi, pair);
+        }
     }
 }
 

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "graph/generators.hh"
 #include "graph/wl_refine.hh"
@@ -130,6 +135,168 @@ TEST(MgnnLayer, DuplicatesStayBitwiseEqual)
                 EXPECT_TRUE(out.rowsEqual(u, v))
                     << "nodes " << u << "," << v;
             }
+        }
+    }
+}
+
+/**
+ * The per-arc reference `MgnnLayer::forward` replaced: each arc's
+ * message as its own 1-row edge-MLP forward, summed per destination in
+ * class-sorted order, then one update-MLP forward over every node.
+ */
+Matrix
+referenceMgnnForward(const MgnnLayer &layer, const Graph &g,
+                     const Matrix &x, const Matrix &cross,
+                     const std::vector<uint64_t> &order_keys)
+{
+    const size_t d = layer.nodeDim();
+    Matrix intra(g.numNodes(), layer.hidden());
+    Matrix edge_in(1, 2 * d);
+    std::vector<NodeId> order;
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+        auto ns = g.neighbors(v);
+        order.assign(ns.begin(), ns.end());
+        if (!order_keys.empty()) {
+            std::sort(order.begin(), order.end(),
+                      [&](NodeId a, NodeId b) {
+                          return order_keys[a] < order_keys[b];
+                      });
+        }
+        float *dst = intra.row(v);
+        for (NodeId u : order) {
+            std::memcpy(edge_in.row(0), x.row(u), d * sizeof(float));
+            std::memcpy(edge_in.row(0) + d, x.row(v), d * sizeof(float));
+            Matrix msg = layer.edgeMlp().forward(edge_in);
+            for (size_t j = 0; j < layer.hidden(); ++j)
+                dst[j] += msg.at(0, j);
+        }
+    }
+    return layer.updateMlp().forward(hconcat({&x, &intra, &cross}));
+}
+
+/** Exact classes: each row's class is the first row bitwise equal to it. */
+std::vector<uint32_t>
+exactClasses(const Matrix &x)
+{
+    std::vector<uint32_t> cls(x.rows());
+    std::vector<size_t> reps;
+    for (size_t v = 0; v < x.rows(); ++v) {
+        size_t c = 0;
+        while (c < reps.size() && !x.rowsEqual(reps[c], v))
+            ++c;
+        if (c == reps.size())
+            reps.push_back(v);
+        cls[v] = static_cast<uint32_t>(c);
+    }
+    return cls;
+}
+
+/** Feature regimes for the oracle test, from most to least duplicated. */
+enum class Feat
+{
+    Uniform,    ///< every x and cross row equal (the layer-0 regime)
+    WlClasses,  ///< x and cross rows per WL class
+    CrossSplit, ///< x per WL class, cross distinct per node
+    Distinct,   ///< every row distinct
+};
+
+/**
+ * Run `forward` with exact classes and without classes, and the per-arc
+ * reference, on `g` in regime `feat`; all three must be bitwise equal.
+ */
+void
+expectMgnnMatchesReference(const Graph &g, Feat feat, uint64_t seed,
+                           const std::string &what)
+{
+    const size_t d = 8;
+    Rng rng(seed);
+    const WlColoring wl = wlRefine(g, 1);
+    Matrix x(g.numNodes(), d), cross(g.numNodes(), d);
+    switch (feat) {
+      case Feat::Uniform: {
+        Matrix row(1, d);
+        row.fillXavier(rng);
+        for (NodeId v = 0; v < g.numNodes(); ++v) {
+            std::memcpy(x.row(v), row.row(0), d * sizeof(float));
+            std::memcpy(cross.row(v), row.row(0), d * sizeof(float));
+        }
+        break;
+      }
+      case Feat::WlClasses:
+        x = classFeatures(wl, 1, d, rng);
+        cross = classFeatures(wl, 1, d, rng);
+        break;
+      case Feat::CrossSplit:
+        x = classFeatures(wl, 1, d, rng);
+        cross.fillXavier(rng);
+        break;
+      case Feat::Distinct:
+        x.fillXavier(rng);
+        cross.fillXavier(rng);
+        break;
+    }
+    MgnnLayer layer(d, d, rng);
+    const std::vector<uint64_t> index_order;
+    for (const auto *keys : {&wl.signatures[1], &index_order}) {
+        Matrix ref = referenceMgnnForward(layer, g, x, cross, *keys);
+        ASSERT_EQ(ref.rows(), g.numNodes());
+        for (uint32_t threads : {1u, 2u, 8u}) {
+            ThreadPool::instance().setThreads(threads);
+            Matrix plain = layer.forward(g, x, cross, *keys);
+            Matrix dedup =
+                layer.forward(g, x, cross, *keys, exactClasses(x));
+            EXPECT_TRUE(plain.equals(ref))
+                << what << ", no classes, " << threads << " threads, "
+                << (keys->empty() ? "index" : "WL") << " order";
+            EXPECT_TRUE(dedup.equals(ref))
+                << what << ", exact classes, " << threads << " threads, "
+                << (keys->empty() ? "index" : "WL") << " order";
+        }
+    }
+    ThreadPool::instance().setThreads(1);
+}
+
+/** A hub joined to `leaves` leaves, plus a short tail off leaf 1. */
+Graph
+hubGraph(NodeId leaves)
+{
+    std::vector<Edge> edges;
+    for (NodeId v = 1; v <= leaves; ++v)
+        edges.push_back({0, v});
+    edges.push_back({1, leaves + 1});
+    edges.push_back({leaves + 1, leaves + 2});
+    return Graph::fromEdges(leaves + 3, edges);
+}
+
+TEST(MgnnLayer, BatchedDedupMatchesPerArcReference)
+{
+    Rng rng(31);
+    struct Case
+    {
+        std::string name;
+        Graph g;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"thread", threadGraph(120, 140, rng)});
+    cases.push_back({"star", hubGraph(40)});
+    cases.push_back({"erdos-renyi", erdosRenyiGnm(60, 150, rng)});
+    cases.push_back({"empty", Graph::fromEdges(0, {})});
+    cases.push_back({"single node", Graph::fromEdges(1, {})});
+    cases.push_back(
+        {"isolated nodes", Graph::fromEdges(7, {{0, 1}, {1, 2}})});
+    // fromEdges drops self-loops, so the layer never sees an arc
+    // 0 -> 0; the case pins that such input still matches.
+    cases.push_back(
+        {"self-loop", Graph::fromEdges(3, {{0, 0}, {0, 1}, {1, 2}})});
+    EXPECT_FALSE(cases.back().g.hasEdge(0, 0));
+    cases.push_back({"extreme hub", hubGraph(3000)});
+    for (const Case &c : cases) {
+        for (Feat feat : {Feat::Uniform, Feat::WlClasses,
+                          Feat::CrossSplit, Feat::Distinct}) {
+            expectMgnnMatchesReference(
+                c.g, feat, 41,
+                c.name + " / regime " +
+                    std::to_string(static_cast<int>(feat)));
         }
     }
 }

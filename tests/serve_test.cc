@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,6 +57,7 @@
 #include "gmn/memo.hh"
 #include "graph/dataset.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "serve/batcher.hh"
 #include "serve/errors.hh"
 #include "serve/faults.hh"
@@ -1428,6 +1430,50 @@ TEST(Telemetry, BitIdenticalWithFullTelemetryEnabled)
 
     service.shutdown();
     ThreadPool::instance().setThreads(0);
+}
+
+TEST(Telemetry, RequestSpanEndsInsideItsHeadStage)
+{
+    // A result is ready when the head stage delivers it, so
+    // QueryResult::totalMs — and the request span, critical path,
+    // windows, SLO burn and slow log built from it — must run past the
+    // start of the batch's head stage. Each request is awaited before
+    // the next is submitted, so batches never overlap and request i
+    // rode head stage i.
+    CloneSearchCorpus corpus = makeCloneSearchCorpus(
+        DatasetId::AIDS, kQueries, kCandidates);
+    ServeConfig config;
+    config.model = ModelId::GraphSim;
+    config.maxBatch = 1;
+    config.topK = kCandidates;
+    obs::clearTrace();
+    obs::setTracingEnabled(true);
+    {
+        SearchService service(config, corpus.candidates);
+        for (const Graph &query : corpus.queries)
+            ASSERT_EQ(service.submit(query).get().scores.size(),
+                      kCandidates);
+        service.shutdown(); // a head span closes after its delivery
+    }
+    obs::setTracingEnabled(false);
+    std::vector<obs::SpanRecord> spans = obs::collectSpans();
+    obs::clearTrace();
+
+    std::vector<obs::SpanRecord> requests, heads;
+    for (const obs::SpanRecord &span : spans) {
+        if (std::string(span.name) == "request")
+            requests.push_back(span);
+        else if (std::string(span.name) == "pipeline.head")
+            heads.push_back(span);
+    }
+    ASSERT_EQ(requests.size(), corpus.queries.size());
+    ASSERT_EQ(heads.size(), corpus.queries.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        uint64_t end = requests[i].startNs + requests[i].durNs;
+        EXPECT_GE(end, heads[i].startNs) << "request " << i;
+        EXPECT_LE(end, heads[i].startNs + heads[i].durNs)
+            << "request " << i;
+    }
 }
 
 TEST(Telemetry, AdminEndpointsServeAndStopWithService)

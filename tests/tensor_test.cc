@@ -8,8 +8,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "tensor/matrix.hh"
 #include "tensor/workspace.hh"
 
@@ -176,6 +179,59 @@ TEST(Matrix, MatmulAssociativityProperty)
     Matrix left = matmul(matmul(a, b), c);
     Matrix right = matmul(a, matmul(b, c));
     EXPECT_TRUE(left.approxEquals(right, 1e-4f));
+}
+
+TEST(Matrix, MatmulRowDependsOnItsOwnInputRowOnly)
+{
+    // The MGNN layer batches distinct edge-message and node-update
+    // rows into one GEMM chain and relies on every output row being
+    // bitwise what a 1-row matmul of its input row gives. A multi-row
+    // micro-kernel that breaks this must fail here.
+    struct Shape
+    {
+        size_t m, k, n;
+    };
+    // The MGNN MLPs' first layers (2*64 and 3*64 -> 64), a k past one
+    // 256-row k-block, and ragged k/n tails.
+    const Shape shapes[] = {{37, 128, 64}, {37, 192, 64}, {21, 300, 33},
+                            {9, 7, 5}};
+    const SimdLevel before = simdLevel();
+    Rng rng(71);
+    for (const Shape &sh : shapes) {
+        Matrix a(sh.m, sh.k), b(sh.k, sh.n);
+        a.fillXavier(rng);
+        b.fillXavier(rng);
+        // Post-ReLU-style zeros: whole quads and single entries, so
+        // both zero-skip branches run on some rows and not others.
+        for (size_t i = 0; i < sh.m; i += 3) {
+            for (size_t kk = 0; kk + 4 <= sh.k; kk += 8)
+                std::memset(a.row(i) + kk, 0, 4 * sizeof(float));
+            a.at(i, sh.k - 1) = 0.0f;
+        }
+        for (SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2}) {
+            if (level == SimdLevel::Avx2 && !cpuSupportsAvx2())
+                continue;
+            setSimdLevel(level);
+            for (uint32_t threads : {1u, 2u, 8u}) {
+                ThreadPool::instance().setThreads(threads);
+                Matrix stacked = matmul(a, b);
+                for (size_t i = 0; i < sh.m; ++i) {
+                    Matrix ai(1, sh.k);
+                    std::memcpy(ai.row(0), a.row(i),
+                                sh.k * sizeof(float));
+                    Matrix ci = matmul(ai, b);
+                    EXPECT_EQ(std::memcmp(ci.row(0), stacked.row(i),
+                                          sh.n * sizeof(float)),
+                              0)
+                        << sh.m << "x" << sh.k << "x" << sh.n
+                        << " row " << i << " " << simdLevelName(level)
+                        << " threads " << threads;
+                }
+            }
+        }
+    }
+    ThreadPool::instance().setThreads(1);
+    setSimdLevel(before);
 }
 
 // ---- WorkspacePool --------------------------------------------------
