@@ -56,6 +56,23 @@ CEGMA_RETRIEVAL_CI_CANDIDATES=10000 ./build/tests/retrieval_test \
 echo "== tier-1: live-corpus mutation gate =="
 ./build/tests/corpus_test --gtest_filter='LiveGate.*'
 
+# Malformed numeric flags: each tool must reject a non-number with
+# status 2 and name the flag on stderr (never an uncaught exception or
+# a silently truncated value). Thread counts stay out of this smoke:
+# no CI step starts a tool at an out-of-range thread count.
+echo "== tier-1: malformed CLI flag smoke =="
+flag_smoke() {
+    local flag="$1"; shift
+    local err status=0
+    err="$("$@" 2>&1 >/dev/null)" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q -- "$flag" <<<"$err"; then
+        echo "flag smoke: '$*' exited $status, stderr: $err"
+        exit 1
+    fi
+}
+flag_smoke --pairs ./build/tools/cegma_sim --pairs abc
+flag_smoke --qps ./build/tools/cegma_serve --qps 1x
+
 # Forced-scalar tier: the whole suite again with the SIMD dispatch
 # pinned to the scalar oracle. This proves the dispatcher honors the
 # override everywhere and that no caller depends on the AVX2 path —
@@ -108,13 +125,19 @@ CEGMA_THREADS=8 ctest --test-dir build-tsan -R simd_test \
     --output-on-failure
 
 # Live-corpus mutation paths under TSan: the snapshot storms race
-# pinned readers against insert/remove/flush/compaction, and the
-# LiveGate workloads race the mutator thread against the dispatcher's
-# scoring batches — the epoch consistency contract is only meaningful
-# if those paths are race-free.
+# pinned readers against insert/remove/flush/compaction, the block
+# storm races inserts into a chunk's unpublished descriptor rows
+# against shortlists over its published rows, and the LiveGate
+# workloads race the mutator thread against the dispatcher's scoring
+# batches — the epoch consistency contract is only meaningful if
+# those paths are race-free. The block-path suites run the chunked
+# and static coarse scans pool-parallel against the per-candidate
+# oracle.
 echo "== tsan: live-corpus gate (CEGMA_THREADS=8) =="
 CEGMA_THREADS=8 ./build-tsan/tests/corpus_test \
-    --gtest_filter='LiveGate.*:LiveCorpusStorm.*'
+    --gtest_filter='LiveGate.*:LiveCorpusStorm.*:LiveCorpusBlocks.*:LiveCorpusBlockStorm.*'
+CEGMA_THREADS=8 ./build-tsan/tests/retrieval_test \
+    --gtest_filter='CoarseBlockKeys.*:CoarseIndexBlocks.*'
 
 echo "== asan: instrumented build =="
 cmake -B build-asan -S . -DCEGMA_SANITIZE=address >/dev/null
@@ -147,10 +170,13 @@ ctest --test-dir build-asan -R simd_test --output-on-failure
 # Live-corpus gate under ASan+UBSan: chunked slot storage, tombstone
 # compaction, and memo invalidation reclaim memory while snapshots
 # may still read it — a use-after-reclaim is exactly what this tier
-# turns into a hard failure.
+# turns into a hard failure — and the block scans index raw
+# descriptor blocks, where a row past a block's end is an over-read.
 echo "== asan: live-corpus gate =="
 ./build-asan/tests/corpus_test \
-    --gtest_filter='LiveGate.*:LiveCorpusStorm.*'
+    --gtest_filter='LiveGate.*:LiveCorpusStorm.*:LiveCorpusBlocks.*:LiveCorpusBlockStorm.*'
+./build-asan/tests/retrieval_test \
+    --gtest_filter='CoarseBlockKeys.*:CoarseIndexBlocks.*'
 
 # Admin-plane smoke under ASan+UBSan: a real cegma_serve process on an
 # ephemeral admin port (printed on stdout), scraped with curl *while

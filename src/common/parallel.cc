@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
+
+#include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace cegma {
 
@@ -9,19 +13,42 @@ namespace {
 
 thread_local bool tl_in_pool_task = false;
 
+/** `n` clamped to `kMaxThreads`, warning when the clamp bites. */
+uint32_t
+clampWarn(uint64_t n, const char *source)
+{
+    if (n > kMaxThreads) {
+        warn("%s: %llu threads requested; clamping to %u", source,
+             static_cast<unsigned long long>(n), kMaxThreads);
+    }
+    return clampThreads(n);
+}
+
 uint32_t
 resolveThreads()
 {
-    if (const char *env = std::getenv("CEGMA_THREADS")) {
-        long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return static_cast<uint32_t>(n);
-    }
     uint32_t hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
+    return threadsFromEnv(std::getenv("CEGMA_THREADS"),
+                          clampWarn(hw >= 1 ? hw : 1, "hardware"));
 }
 
 } // namespace
+
+uint32_t
+threadsFromEnv(const char *value, uint32_t fallback)
+{
+    if (value == nullptr || *value == '\0')
+        return fallback;
+    std::optional<uint64_t> n = parseInRange<uint64_t>(
+        value, 1, std::numeric_limits<uint64_t>::max());
+    if (!n) {
+        warn("CEGMA_THREADS: expected an integer >= 1, got '%s'; "
+             "using %u",
+             value, fallback);
+        return fallback;
+    }
+    return clampWarn(*n, "CEGMA_THREADS");
+}
 
 ThreadPool &
 ThreadPool::instance()
@@ -54,7 +81,8 @@ void
 ThreadPool::setThreads(uint32_t n)
 {
     std::lock_guard<std::mutex> job_lk(jobMutex_);
-    uint32_t resolved = n == 0 ? resolveThreads() : n;
+    uint32_t resolved =
+        n == 0 ? resolveThreads() : clampWarn(n, "ThreadPool::setThreads");
     {
         std::lock_guard<std::mutex> lk(mutex_);
         if (resolved == target_)

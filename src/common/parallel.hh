@@ -17,6 +17,7 @@
  *      flag) at any point — the pool restarts with the new count;
  *   2. the `CEGMA_THREADS` environment variable;
  *   3. `std::thread::hardware_concurrency()`.
+ * Counts above `kMaxThreads` clamp to it, with a warning.
  *
  * Nested `parallelFor` calls issued from inside a pool task run
  * serially on the calling worker (no deadlock, no oversubscription).
@@ -35,6 +36,24 @@
 #include <vector>
 
 namespace cegma {
+
+/** Most threads the pool runs; the tools reject larger `--threads`. */
+inline constexpr uint32_t kMaxThreads = 1024;
+
+/** `n` capped at `kMaxThreads` (the clamp `setThreads` applies). */
+constexpr uint32_t
+clampThreads(uint64_t n)
+{
+    return n > kMaxThreads ? kMaxThreads : static_cast<uint32_t>(n);
+}
+
+/**
+ * The thread count a `CEGMA_THREADS` value selects: a whole decimal
+ * integer >= 1, clamped to `kMaxThreads` with a warning; `fallback`
+ * (with a warning) for anything else. Null or empty means unset, and
+ * gives `fallback` silently.
+ */
+uint32_t threadsFromEnv(const char *value, uint32_t fallback);
 
 /** Persistent worker pool behind `parallelFor`. */
 class ThreadPool
@@ -55,7 +74,8 @@ class ThreadPool
 
     /**
      * Set the thread count; 0 re-resolves from `CEGMA_THREADS` /
-     * hardware concurrency. Safe to call between jobs at any time;
+     * hardware concurrency, and counts above `kMaxThreads` clamp to
+     * it with a warning. Safe to call between jobs at any time;
      * workers are restarted lazily.
      */
     void setThreads(uint32_t n);

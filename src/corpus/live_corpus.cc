@@ -34,8 +34,6 @@ struct CorpusStore
         uint64_t id = 0;
         Graph graph;
         std::vector<uint64_t> tags;  ///< WL tag set (index enabled)
-        std::vector<float> coarse;   ///< stored descriptor (")
-        float coarseNorm = 0.0f;     ///< squared L2 of `coarse`
         /**
          * First epoch that does NOT see this slot; `kSlotAlive` while
          * live. Written exactly once (at the publishing flush) after
@@ -49,6 +47,17 @@ struct CorpusStore
     struct Chunk
     {
         std::array<Slot, kChunkSize> slots;
+
+        /**
+         * The chunk's coarse descriptors (index enabled): row r, of
+         * `coarseDim` floats, is slots[r]'s descriptor and norms[r]
+         * its squared L2 norm. A row is written once, by the mutator
+         * filling its slot, before the slot is published, and never
+         * again — compaction leaves it in place. Readers touch only
+         * rows below their snapshot's bound.
+         */
+        std::unique_ptr<float[]> coarse;
+        std::unique_ptr<float[]> norms;
     };
 
     explicit CorpusStore(size_t max_slots)
@@ -69,14 +78,50 @@ struct CorpusStore
             ->slots[s & (kChunkSize - 1)];
     }
 
-    /** Mutator-only: make sure slot `s` is backed by a chunk. */
+    const Chunk &chunkOf(uint32_t s) const
+    {
+        return *dir[s >> kChunkBits].load(std::memory_order_acquire);
+    }
+
+    /**
+     * Mutator-only: make sure slot `s` is backed by a chunk, and the
+     * chunk by a descriptor block once the width is known.
+     */
     void ensureChunk(uint32_t s)
     {
         uint32_t c = s >> kChunkBits;
-        if (dir[c].load(std::memory_order_relaxed) == nullptr) {
+        Chunk *chunk = dir[c].load(std::memory_order_relaxed);
+        if (chunk == nullptr) {
             chunks.push_back(std::make_unique<Chunk>());
-            dir[c].store(chunks.back().get(), std::memory_order_release);
+            chunk = chunks.back().get();
+            dir[c].store(chunk, std::memory_order_release);
         }
+        if (coarseDim > 0 && chunk->coarse == nullptr) {
+            // Exact size, outside the workspace pool: its power-of-two
+            // buckets would round a 288-KiB block up to 512 KiB.
+            chunk->coarse.reset(new float[kChunkSize * coarseDim]);
+            chunk->norms.reset(new float[kChunkSize]);
+            blockBytes.fetch_add(kChunkSize * (coarseDim + 1) *
+                                     sizeof(float),
+                                 std::memory_order_relaxed);
+        }
+    }
+
+    /**
+     * Mutator-only (or bootstrap-parallel, one slot per caller): copy
+     * `v` into slot `s`'s block row and store its squared norm.
+     */
+    void storeCoarse(uint32_t s, const std::vector<float> &v)
+    {
+        cegma_assert(v.size() == coarseDim);
+        Chunk &chunk = *dir[s >> kChunkBits].load(std::memory_order_acquire);
+        uint32_t r = s & (kChunkSize - 1);
+        std::copy(v.begin(), v.end(),
+                  chunk.coarse.get() + static_cast<size_t>(r) * coarseDim);
+        float norm = 0.0f;
+        for (float x : v)
+            norm += x * x;
+        chunk.norms[r] = norm;
     }
 
     /** Pin the current epoch (under `pinMutex`). */
@@ -129,6 +174,13 @@ struct CorpusStore
     std::vector<std::atomic<Chunk *>> dir;
     std::vector<std::unique_ptr<Chunk>> chunks; ///< mutator-only
 
+    /**
+     * Descriptor width, fixed by the first descriptor stored; written
+     * before any row is, so a reader that reaches a row sees it.
+     */
+    size_t coarseDim = 0;
+    std::atomic<size_t> blockBytes{0}; ///< allocated block bytes
+
     /** Published-slot bound; release-stored at flush. */
     std::atomic<uint32_t> publishedSlots{0};
 
@@ -169,13 +221,14 @@ struct LiveCorpus::Index
     std::unordered_map<uint64_t, uint32_t> slotOfId;
     uint32_t nextSlot = 0;
     bool capacityWarned = false;
+    std::vector<float> descriptor; ///< insert's descriptor scratch
     /// @}
 
     std::atomic<uint64_t> inserts{0};
     std::atomic<uint64_t> removes{0};
     std::atomic<size_t> reclaimedSlots{0};
     std::atomic<uint64_t> compactions{0};
-    std::atomic<size_t> payloadBytes{0}; ///< resident tag+coarse bytes
+    std::atomic<size_t> payloadBytes{0}; ///< resident tag bytes
 };
 
 namespace {
@@ -183,17 +236,7 @@ namespace {
 size_t
 slotPayloadBytes(const CorpusStore::Slot &slot)
 {
-    return slot.tags.size() * sizeof(uint64_t) +
-           slot.coarse.size() * sizeof(float);
-}
-
-float
-squaredNorm(const std::vector<float> &v)
-{
-    float n = 0.0f;
-    for (float x : v)
-        n += x * x;
-    return n;
+    return slot.tags.size() * sizeof(uint64_t);
 }
 
 } // namespace
@@ -291,6 +334,16 @@ LiveCorpus::bootstrap(std::vector<Graph> graphs,
     // readers index it lock-free forever after.
     size_t cap = std::max(config_.maxSlots, static_cast<size_t>(n) * 2);
     store_ = std::make_shared<CorpusStore>(cap);
+    // The first descriptor fixes the width (a constant of the model /
+    // sketch config), so every chunk's block is sized before the
+    // parallel fill.
+    const bool descriptors = maintainIndex_ && descriptor_;
+    std::vector<float> first;
+    if (descriptors && n > 0) {
+        descriptor_(graphs[0], first);
+        cegma_assert(!first.empty());
+        store_->coarseDim = first.size();
+    }
     for (uint32_t s = 0; s < n; ++s)
         store_->ensureChunk(s);
 
@@ -299,17 +352,18 @@ LiveCorpus::bootstrap(std::vector<Graph> graphs,
     // and each slot is written independently before anything is
     // published.
     parallelFor(0, n, 1, [&](size_t s0, size_t s1) {
+        std::vector<float> v;
         for (size_t s = s0; s < s1; ++s) {
-            CorpusStore::Slot &slot =
-                store_->slot(static_cast<uint32_t>(s));
+            auto slot_id = static_cast<uint32_t>(s);
+            CorpusStore::Slot &slot = store_->slot(slot_id);
             slot.id = ids[s];
             slot.graph = std::move(graphs[s]);
-            if (maintainIndex_) {
+            if (maintainIndex_)
                 slot.tags = wlTagSet(slot.graph, retrieval_.tagLevel);
-                if (descriptor_) {
-                    descriptor_(slot.graph, slot.coarse);
-                    slot.coarseNorm = squaredNorm(slot.coarse);
-                }
+            if (descriptors) {
+                if (s > 0)
+                    descriptor_(slot.graph, v);
+                store_->storeCoarse(slot_id, s > 0 ? v : first);
             }
         }
     });
@@ -371,11 +425,17 @@ LiveCorpus::insert(uint64_t id, Graph g)
         // Tag extraction and the descriptor run here, at insert: the
         // descriptor callback drives the model's pool-parallel
         // kernels, so the index cost lands on the mutation path, not
-        // on any query.
+        // on any query. The row lands past every snapshot's bound.
         slot.tags = wlTagSet(slot.graph, retrieval_.tagLevel);
         if (descriptor_) {
-            descriptor_(slot.graph, slot.coarse);
-            slot.coarseNorm = squaredNorm(slot.coarse);
+            std::vector<float> &v = index_->descriptor;
+            descriptor_(slot.graph, v);
+            if (store_->coarseDim == 0) {
+                cegma_assert(!v.empty());
+                store_->coarseDim = v.size();
+                store_->ensureChunk(s);
+            }
+            store_->storeCoarse(s, v);
         }
     }
     index_->payloadBytes.fetch_add(slotPayloadBytes(slot),
@@ -520,7 +580,6 @@ LiveCorpus::compactLocked(uint64_t min_retain)
             slot.payloadFreed = true;
             slot.graph = Graph();
             slot.tags = {};
-            slot.coarse = {};
         }
     }
     if (dropped_slots == 0)
@@ -623,56 +682,64 @@ LiveCorpus::shortlist(const CorpusSnapshot &snap, const Graph &query,
         stages->survivors = surv.size();
     }
 
-    size_t budget = retrieval_.shortlist;
-    if (budget == 0 || surv.size() <= budget) {
-        if (stages)
-            stages->shortlisted = surv.size();
-        return surv;
-    }
-
-    // Rank survivors by the stored descriptors: the model's own
-    // query-conditioned coarse scorer when it decomposes its head,
-    // else squared L2 against the query's coarse vector (constant
-    // ||q||^2 dropped). Keys land in indexed output slots, so the
-    // ranking is bit-identical at any thread count; (key, slot) ties
-    // break toward the lower slot.
-    std::vector<std::pair<float, uint32_t>> keyed(surv.size());
-    if (modelAware_) {
-        std::unique_ptr<CoarseScorer> scorer = model.coarseScorer(query);
-        cegma_assert(scorer != nullptr);
-        parallelFor(0, surv.size(), 64, [&](size_t i0, size_t i1) {
-            for (size_t i = i0; i < i1; ++i) {
-                const CorpusStore::Slot &slot = store_->slot(surv[i]);
-                float score = (*scorer)(slot.coarse.data(),
-                                        slot.coarse.size());
-                keyed[i] = {-score, surv[i]};
-            }
-        });
+    std::vector<uint32_t> out;
+    if (retrieval_.shortlist == 0 || surv.size() <= retrieval_.shortlist) {
+        out = std::move(surv);
     } else {
-        std::vector<float> qvec = coarseVector(
-            query, model, retrieval_.tagLevel, retrieval_.sketchDim);
-        parallelFor(0, surv.size(), 64, [&](size_t i0, size_t i1) {
-            for (size_t i = i0; i < i1; ++i) {
-                const CorpusStore::Slot &slot = store_->slot(surv[i]);
-                cegma_assert(slot.coarse.size() == qvec.size());
-                float key = slot.coarseNorm -
-                            2.0f * dot(qvec.data(), slot.coarse.data(),
-                                       qvec.size());
-                keyed[i] = {key, surv[i]};
-            }
-        });
+        // Rank survivors by the stored descriptors: the model's own
+        // query-conditioned coarse scorer when it decomposes its
+        // head, else squared L2 against the query's coarse vector.
+        std::unique_ptr<CoarseScorer> scorer =
+            makeCoarseScorer(query, model, modelAware_,
+                             retrieval_.tagLevel, retrieval_.sketchDim);
+        out = shortlist(snap, *scorer, surv);
     }
-    std::nth_element(keyed.begin(),
-                     keyed.begin() + static_cast<ptrdiff_t>(budget),
-                     keyed.end());
-    keyed.resize(budget);
-    std::vector<uint32_t> out(budget);
-    for (size_t i = 0; i < budget; ++i)
-        out[i] = keyed[i].second;
-    std::sort(out.begin(), out.end());
     if (stages)
         stages->shortlisted = out.size();
     return out;
+}
+
+std::vector<uint32_t>
+LiveCorpus::shortlist(const CorpusSnapshot &snap,
+                      const CoarseScorer &scorer,
+                      const std::vector<uint32_t> &survivors) const
+{
+    cegma_assert(maintainIndex_);
+    const size_t budget = retrieval_.shortlist;
+    if (budget == 0 || survivors.size() <= budget)
+        return survivors;
+    // Survivors ascend, so each chunk's survivors are one contiguous
+    // run, keyed by one scorer call over the chunk's block. Every row
+    // read is a visible slot, so below the snapshot's bound: rows past
+    // it may be mid-write by an insert. Keys land in indexed output
+    // slots, so the ranking is bit-identical at any thread count;
+    // (key, slot) ties break toward the lower slot.
+    constexpr uint32_t kBits = CorpusStore::kChunkBits;
+    std::vector<uint32_t> rows(survivors.size());
+    std::vector<size_t> runs; // run r is survivors[runs[r] .. runs[r+1])
+    for (size_t i = 0; i < survivors.size(); ++i) {
+        cegma_assert(survivors[i] < snap.bound());
+        rows[i] = survivors[i] & (CorpusStore::kChunkSize - 1);
+        if (i == 0 ||
+            (survivors[i] >> kBits) != (survivors[i - 1] >> kBits))
+            runs.push_back(i);
+    }
+    runs.push_back(survivors.size());
+    const size_t dim = store_->coarseDim;
+    cegma_assert(dim > 0);
+    std::vector<float> keys(survivors.size());
+    parallelFor(0, runs.size() - 1, 1, [&](size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1; ++r) {
+            const size_t i0 = runs[r];
+            const CorpusStore::Chunk &chunk =
+                store_->chunkOf(survivors[i0]);
+            const CoarseBlock block{chunk.coarse.get(), chunk.norms.get(),
+                                    dim};
+            scorer.keys(block, rows.data() + i0, runs[r + 1] - i0,
+                        keys.data() + i0);
+        }
+    });
+    return lowestKeyed(keys, survivors, budget);
 }
 
 void
@@ -748,7 +815,9 @@ LiveCorpus::indexBytes() const
                 (sizeof(uint64_t) + sizeof(std::vector<uint32_t>));
     }
     return posting_bytes +
-           index_->payloadBytes.load(std::memory_order_relaxed);
+           index_->payloadBytes.load(std::memory_order_relaxed) +
+           (store_ ? store_->blockBytes.load(std::memory_order_relaxed)
+                   : 0);
 }
 
 } // namespace cegma

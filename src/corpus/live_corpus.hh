@@ -19,17 +19,24 @@
  *   - Slot storage is chunked with a fixed directory of atomic chunk
  *     pointers, so readers never race a reallocation; published slot
  *     payloads are immutable until reclaimed.
+ *   - Each 512-slot chunk keeps its slots' coarse descriptors as one
+ *     contiguous 512 x dim float block plus per-row squared norms.
+ *     A row is written once, while its slot is still unpublished, and
+ *     readers never touch a row at or past their snapshot's bound —
+ *     an insert may be writing it.
  *   - An epoch E is *retired* (counted in `epochsReclaimed`) once a
  *     newer epoch exists and E's last pinned snapshot is released.
  *     Compaction then reclaims what no live or future snapshot can
- *     see: tombstoned slots' payloads and their posting entries are
- *     dropped once `diedEpoch <= min(pinned epochs)`. Because
+ *     see: tombstoned slots' graphs, tags and posting entries are
+ *     dropped once `diedEpoch <= min(pinned epochs)` (descriptor rows
+ *     stay in their block, invisible; their bytes are not freed). Because
  *     everything compaction touches is invisible to every possible
  *     snapshot, compaction timing can never change a query result.
  *
  * Index maintenance is incremental: inserts extend the WL-tag posting
  * lists and store a per-graph coarse descriptor computed at insert
- * (the descriptor callback runs the model's pool-parallel kernels);
+ * into the chunk's block (the descriptor callback runs the model's
+ * pool-parallel kernels);
  * removes are free at mutation time — tombstone filtering happens at
  * query time via the visibility check — and are physically erased by
  * periodic compaction when the dead-posting ratio passes the
@@ -40,9 +47,11 @@
  *
  * Determinism: `shortlist` is a pure function of (snapshot-visible
  * entries, stored descriptor bits, query, knobs) — independent of
- * thread count, posting order, and compaction timing — so an offline
- * replay of the same mutation schedule reproduces every served
- * shortlist and score bit for bit.
+ * thread count, posting order, compaction timing and how survivors
+ * fall into chunks (each chunk's survivors are keyed by one scorer
+ * call, and keys are per-row functions) — so an offline replay of the
+ * same mutation schedule reproduces every served shortlist and score
+ * bit for bit.
  */
 
 #ifndef CEGMA_CORPUS_LIVE_CORPUS_HH
@@ -58,6 +67,7 @@
 
 namespace cegma {
 
+class CoarseScorer;
 class GmnModel;
 struct CorpusStore;
 
@@ -70,10 +80,11 @@ struct MutationConfig
     /**
      * Slot capacity: bootstrap size + total inserts over the corpus
      * lifetime must fit (slots are append-only; compaction reclaims
-     * payload bytes, not slot numbers). The chunk directory is sized
-     * from this at bootstrap, which is what lets readers walk slots
-     * without any lock. Inserts past the cap are refused with a
-     * warning. The default costs ~16 KiB of directory.
+     * graph and tag bytes, not slot numbers or descriptor rows). The
+     * chunk directory is sized from this at bootstrap, which is what
+     * lets readers walk slots without any lock. Inserts past the cap
+     * are refused with a warning. The default costs ~16 KiB of
+     * directory.
      */
     size_t maxSlots = 1u << 21;
 
@@ -147,10 +158,11 @@ class LiveCorpus
     using SnapshotPtr = std::shared_ptr<const CorpusSnapshot>;
 
     /**
-     * Computes a graph's stored coarse descriptor at insert time,
-     * writing into the slot's own vector (out-param so the callback
-     * never materializes a per-graph temporary — it runs once per
-     * corpus entry at bootstrap and once per insert).
+     * Computes a graph's stored coarse descriptor at insert time into
+     * a reused scratch vector (out-param, so the callback never
+     * materializes a per-graph temporary — it runs once per corpus
+     * entry at bootstrap and once per insert); the corpus copies it
+     * into the slot's block row. The first descriptor fixes the width.
      */
     using DescriptorFn =
         std::function<void(const Graph &, std::vector<float> &)>;
@@ -221,6 +233,18 @@ class LiveCorpus
                                     RetrievalStages *stages = nullptr) const;
 
     /**
+     * Stage 2 alone: the `retrieval.shortlist` entries of `survivors`
+     * (visible slots of `snap`, ascending — stage 1's output) with the
+     * lowest `scorer` keys over their stored descriptor rows,
+     * ascending; all of them when they fit the budget. Each chunk's
+     * survivors are keyed by one `scorer.keys` call over the chunk's
+     * descriptor block.
+     */
+    std::vector<uint32_t>
+    shortlist(const CorpusSnapshot &snap, const CoarseScorer &scorer,
+              const std::vector<uint32_t> &survivors) const;
+
+    /**
      * Re-point the query-time cascade knobs (shortlist budget,
      * tag-prune threshold); build-time knobs are fixed. Not
      * thread-safe against concurrent `shortlist` calls.
@@ -237,7 +261,7 @@ class LiveCorpus
     size_t tombstones() const;        ///< dead slots awaiting reclaim
     uint64_t epochsReclaimed() const; ///< retired epochs
     uint64_t compactions() const;     ///< compaction passes run
-    size_t indexBytes() const;        ///< postings + descriptors + tags
+    size_t indexBytes() const;        ///< postings + tags + blocks
     /// @}
 
     const MutationConfig &config() const { return config_; }

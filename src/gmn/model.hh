@@ -129,21 +129,44 @@ struct InferenceOptions
 };
 
 /**
- * A query-conditioned scorer over stored per-graph coarse descriptors
- * — the model-aware ranking function of the retrieval cascade's
- * shortlist stage. Built once per query (implementations precompute
- * every query-side term there), then applied to many candidate
- * descriptors. A ranking surrogate only: higher means "more likely in
- * the exact top-k", with no bit-level relationship to `score`. Must
- * not outlive the model that built it.
+ * A row-major block of stored coarse descriptors: row r is the `dim`
+ * floats at `data + r * dim`. `norms[r]` is row r's squared L2 norm
+ * where the index keeps norms (the L2 key reads them; model-aware
+ * scorers do not, and may get null).
+ */
+struct CoarseBlock
+{
+    const float *data = nullptr;
+    const float *norms = nullptr;
+    size_t dim = 0;
+
+    const float *row(uint32_t r) const
+    {
+        return data + static_cast<size_t>(r) * dim;
+    }
+};
+
+/**
+ * A query-conditioned ranking function over stored per-graph coarse
+ * descriptors — the retrieval cascade's shortlist stage. Built once
+ * per query (implementations precompute every query-side term there),
+ * then applied block by block: one call keys a list of rows of one
+ * contiguous descriptor block, so dispatch, the head's GEMM chain and
+ * its buffers are paid per block rather than per candidate. Keys rank
+ * ascending (lower = more likely in the exact top-k) and are a ranking
+ * surrogate only, with no bit-level relationship to `score`. Each key
+ * is a function of its own row alone, bit for bit, so how rows are
+ * grouped into calls never changes a key (DESIGN.md §7b). Safe to
+ * call concurrently; must not outlive the model that built it.
  */
 class CoarseScorer
 {
   public:
     virtual ~CoarseScorer() = default;
 
-    /** Rank a candidate from its stored descriptor (higher = better). */
-    virtual float operator()(const float *descriptor, size_t dim) const = 0;
+    /** keys[i] = the key of row rows[i] of `block`, for i < n. */
+    virtual void keys(const CoarseBlock &block, const uint32_t *rows,
+                      size_t n, float *keys) const = 0;
 };
 
 /** Functional GMN inference model. */
@@ -227,9 +250,9 @@ class GmnModel
     }
 
     /**
-     * The query-conditioned coarse scorer, or null when
-     * `coarseDim() == 0`. Thread-safe to build and apply concurrently
-     * for different queries.
+     * The query-conditioned coarse scorer over blocks of this model's
+     * descriptors, or null when `coarseDim() == 0`. Thread-safe to
+     * build and apply concurrently for different queries.
      */
     virtual std::unique_ptr<CoarseScorer>
     coarseScorer(const Graph &query) const

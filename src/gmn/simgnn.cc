@@ -6,26 +6,28 @@
  * head (Table I row 3).
  */
 
+#include "gmn/simgnn.hh"
+
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "emf/emf.hh"
 #include "gmn/memo.hh"
-#include "gmn/model.hh"
 #include "graph/wl_refine.hh"
 #include "nn/gcn.hh"
-#include "nn/linear.hh"
 #include "nn/ntn.hh"
 #include "obs/trace.hh"
+#include "tensor/kernels.hh"
 
 namespace cegma {
 
 namespace {
 
-constexpr size_t embedDim = 128;
-constexpr size_t histBins = 16;
-constexpr size_t ntnSlices = 16;
+constexpr size_t embedDim = SimGnnCoarseScorer::kEmbedDim;
+constexpr size_t histBins = SimGnnCoarseScorer::kHistBins;
+constexpr size_t ntnSlices = SimGnnCoarseScorer::kSlices;
 
 class SimGnnModel : public GmnModel
 {
@@ -211,46 +213,6 @@ SimGnnModel::forwardDetailed(GraphPairView pair) const
     return detail;
 }
 
-/**
- * The shortlist ranking surrogate: replay the exact head on the
- * query-factored NTN (one dot per slice against the stored hx), with
- * the pairwise-similarity histogram — the cross-graph term the cascade
- * exists to avoid computing — estimated as the mean of the query's and
- * the candidate's self-similarity histograms. Both halves matter: a
- * per-candidate estimate tracks the actual histogram features far
- * closer than any fixed constant, and an operating point near where
- * the exact scores live keeps the nonlinear head's ranking faithful.
- */
-class SimGnnCoarseScorer : public CoarseScorer
-{
-  public:
-    SimGnnCoarseScorer(Matrix factor, Matrix hist, const Mlp &head)
-        : factor_(std::move(factor)), hist_(std::move(hist)), head_(head)
-    {
-    }
-
-    float
-    operator()(const float *descriptor, size_t dim) const override
-    {
-        (void)dim;
-        Matrix in(1, ntnSlices + histBins);
-        for (size_t k = 0; k < ntnSlices; ++k) {
-            const float *f = factor_.row(k);
-            float s = dot(descriptor, f, embedDim) + f[embedDim];
-            in.at(0, k) = s > 0.0f ? s : 0.0f;
-        }
-        for (size_t b = 0; b < histBins; ++b)
-            in.at(0, ntnSlices + b) =
-                0.5f * (hist_.at(0, b) + descriptor[embedDim + b]);
-        return head_.forward(in).at(0, 0);
-    }
-
-  private:
-    Matrix factor_;   ///< ntn_.queryFactor(hy): (slices x dim + 1)
-    Matrix hist_;     ///< fixed histogram features (1 x histBins)
-    const Mlp &head_; ///< the model's head; the model outlives us
-};
-
 std::unique_ptr<CoarseScorer>
 SimGnnModel::coarseScorer(const Graph &query) const
 {
@@ -264,6 +226,48 @@ SimGnnModel::coarseScorer(const Graph &query) const
 }
 
 } // namespace
+
+SimGnnCoarseScorer::SimGnnCoarseScorer(Matrix factor, Matrix hist,
+                                       const Mlp &head)
+    : factor_(std::move(factor)), slices_(kSlices, kEmbedDim),
+      hist_(std::move(hist)), head_(head)
+{
+    cegma_assert(factor_.rows() == kSlices &&
+                 factor_.cols() == kEmbedDim + 1);
+    // ntRow reads its B rows at stride k, so the slice vectors are
+    // packed without the offset column.
+    for (size_t k = 0; k < kSlices; ++k)
+        std::copy(factor_.row(k), factor_.row(k) + kEmbedDim,
+                  slices_.row(k));
+}
+
+void
+SimGnnCoarseScorer::keys(const CoarseBlock &block, const uint32_t *rows,
+                         size_t n, float *keys) const
+{
+    if (n == 0)
+        return;
+    cegma_assert(block.dim == kEmbedDim + kHistBins);
+    const TensorKernels &kern = tensorKernels();
+    Matrix in(n, kSlices + kHistBins);
+    for (size_t i = 0; i < n; ++i) {
+        const float *d = block.row(rows[i]);
+        float *x = in.row(i);
+        kern.ntRow(d, slices_.data(), kEmbedDim, 0, kSlices, x);
+        for (size_t k = 0; k < kSlices; ++k) {
+            float s = x[k] + factor_.at(k, kEmbedDim);
+            x[k] = s > 0.0f ? s : 0.0f;
+        }
+        for (size_t b = 0; b < kHistBins; ++b)
+            x[kSlices + b] = 0.5f * (hist_.at(0, b) + d[kEmbedDim + b]);
+    }
+    // Every GEMM output row depends on its own input row only, and
+    // bias and activations are elementwise, so row i is what a 1-row
+    // forward of row i gives.
+    Matrix out = head_.forward(in);
+    for (size_t i = 0; i < n; ++i)
+        keys[i] = -out.at(i, 0);
+}
 
 std::unique_ptr<GmnModel>
 makeSimGnn(uint64_t seed)

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "gmn/memo.hh"
 #include "gmn/model.hh"
@@ -67,7 +68,7 @@ CoarseIndex::build(const std::vector<Graph> &corpus, const GmnModel &model,
     }
     if (model.coarseDim() > 0) {
         // The model decomposes its head per graph: store its own
-        // descriptors and let its scorer rank (shortlistScored). The
+        // descriptors and let its scorer rank them. The
         // descriptors go through the memo like the generic chain path.
         modelAware_ = true;
         vectors_ = Matrix(corpus.size(), model.coarseDim());
@@ -96,61 +97,69 @@ CoarseIndex::build(const std::vector<Graph> &corpus, const GmnModel &model,
 }
 
 std::vector<uint32_t>
-CoarseIndex::shortlist(const std::vector<float> &query_vec,
+CoarseIndex::shortlist(const CoarseScorer &scorer,
                        const std::vector<uint32_t> &survivors,
                        size_t shortlist_size) const
 {
     if (shortlist_size == 0 || survivors.size() <= shortlist_size)
         return survivors;
     CEGMA_TRACE_SCOPE_CAT("retrieval.shortlist", "retrieval");
-    assert(query_vec.size() == vectors_.cols());
 
-    // ||q - c||^2 = ||q||^2 + ||c||^2 - 2 q.c with the corpus norms
-    // precomputed and the dot SIMD-dispatched; the query norm is a
-    // shared constant so ranking drops it.
-    std::vector<std::pair<float, uint32_t>> ranked(survivors.size());
-    for (size_t i = 0; i < survivors.size(); ++i) {
-        uint32_t c = survivors[i];
-        float d = norms_.at(c, 0) -
-                  2.0f * dot(query_vec.data(), vectors_.row(c),
-                             vectors_.cols());
-        ranked[i] = {d, c};
+    // The whole index is one block; survivors are keyed in fixed runs
+    // (one live-corpus chunk's worth), each run one scorer call
+    // writing its own key range.
+    constexpr size_t kRunRows = 512;
+    const CoarseBlock block{vectors_.data(),
+                            norms_.size() > 0 ? norms_.data() : nullptr,
+                            vectors_.cols()};
+    std::vector<float> keys(survivors.size());
+    parallelFor(0, survivors.size(), kRunRows, [&](size_t i0, size_t i1) {
+        scorer.keys(block, survivors.data() + i0, i1 - i0,
+                    keys.data() + i0);
+    });
+    return lowestKeyed(keys, survivors, shortlist_size);
+}
+
+void
+L2CoarseScorer::keys(const CoarseBlock &block, const uint32_t *rows,
+                     size_t n, float *keys) const
+{
+    if (n == 0)
+        return;
+    cegma_assert(block.dim == query_.size() && block.norms != nullptr);
+    for (size_t i = 0; i < n; ++i) {
+        keys[i] = block.norms[rows[i]] -
+                  2.0f * dot(query_.data(), block.row(rows[i]), block.dim);
     }
-    // (distance, id) is a strict total order, so the selected set is a
-    // deterministic function of the vectors alone.
-    std::nth_element(ranked.begin(), ranked.begin() + shortlist_size,
-                     ranked.end());
-    std::vector<uint32_t> out(shortlist_size);
-    for (size_t i = 0; i < shortlist_size; ++i)
-        out[i] = ranked[i].second;
-    std::sort(out.begin(), out.end());
-    return out;
+}
+
+std::unique_ptr<CoarseScorer>
+makeCoarseScorer(const Graph &query, const GmnModel &model,
+                 bool model_aware, unsigned sketch_level,
+                 unsigned sketch_dim)
+{
+    if (model_aware) {
+        std::unique_ptr<CoarseScorer> scorer = model.coarseScorer(query);
+        cegma_assert(scorer != nullptr);
+        return scorer;
+    }
+    return std::make_unique<L2CoarseScorer>(
+        coarseVector(query, model, sketch_level, sketch_dim));
 }
 
 std::vector<uint32_t>
-CoarseIndex::shortlistScored(const CoarseScorer &scorer,
-                             const std::vector<uint32_t> &survivors,
-                             size_t shortlist_size) const
+lowestKeyed(const std::vector<float> &keys,
+            const std::vector<uint32_t> &ids, size_t budget)
 {
-    if (shortlist_size == 0 || survivors.size() <= shortlist_size)
-        return survivors;
-    CEGMA_TRACE_SCOPE_CAT("retrieval.shortlist", "retrieval");
-    assert(modelAware_);
-
-    // Negated score so the (key, id) pair orders best-first under the
-    // same ascending strict total order the distance path uses — the
-    // selected set is a deterministic function of the descriptors.
-    std::vector<std::pair<float, uint32_t>> ranked(survivors.size());
-    parallelFor(0, survivors.size(), 64, [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-            uint32_t c = survivors[i];
-            ranked[i] = {-scorer(vectors_.row(c), vectors_.cols()), c};
-        }
-    });
-    std::nth_element(ranked.begin(), ranked.begin() + shortlist_size,
+    assert(keys.size() == ids.size() && budget < ids.size());
+    std::vector<std::pair<float, uint32_t>> ranked(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i)
+        ranked[i] = {keys[i], ids[i]};
+    std::nth_element(ranked.begin(),
+                     ranked.begin() + static_cast<ptrdiff_t>(budget),
                      ranked.end());
-    std::vector<uint32_t> out(shortlist_size);
-    for (size_t i = 0; i < shortlist_size; ++i)
+    std::vector<uint32_t> out(budget);
+    for (size_t i = 0; i < budget; ++i)
         out[i] = ranked[i].second;
     std::sort(out.begin(), out.end());
     return out;

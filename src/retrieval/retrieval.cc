@@ -27,17 +27,11 @@ RetrievalIndex::shortlist(const Graph &query, const GmnModel &model,
 {
     std::vector<uint32_t> survivors =
         tags_.survivors(query, config_.tagPrune);
-    std::vector<uint32_t> shortlisted;
-    if (coarse_.modelAware()) {
-        std::unique_ptr<CoarseScorer> scorer = model.coarseScorer(query);
-        shortlisted = coarse_.shortlistScored(*scorer, survivors,
-                                              config_.shortlist);
-    } else {
-        std::vector<float> qvec = coarseVector(
-            query, model, config_.tagLevel, config_.sketchDim);
-        shortlisted = coarse_.shortlist(qvec, survivors,
-                                        config_.shortlist);
-    }
+    std::unique_ptr<CoarseScorer> scorer =
+        makeCoarseScorer(query, model, coarse_.modelAware(),
+                         config_.tagLevel, config_.sketchDim);
+    std::vector<uint32_t> shortlisted =
+        coarse_.shortlist(*scorer, survivors, config_.shortlist);
     if (stages != nullptr) {
         stages->corpus = tags_.corpusSize();
         stages->survivors = survivors.size();

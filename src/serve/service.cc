@@ -154,9 +154,8 @@ SearchService::SearchService(ServeConfig config, std::vector<Graph> corpus,
         bool model_aware = model_->coarseDim() > 0;
         LiveCorpus::DescriptorFn descriptor;
         if (model_aware) {
-            // Writes straight into the slot's stored vector: no
-            // per-graph temporary, and a slot re-filled on insert
-            // reuses its existing capacity.
+            // Fills the corpus's reused scratch vector, which the
+            // corpus copies into the slot's chunk-block row.
             descriptor = [this](const Graph &g, std::vector<float> &out) {
                 out.resize(model_->coarseDim());
                 model_->coarseDescriptor(g, out.data());

@@ -1,14 +1,20 @@
 /**
  * @file
- * Unit tests for the common substrate: RNG, statistics, tables.
+ * Unit tests for the common substrate: RNG, statistics, tables, strict
+ * numeric parsing and the thread-count cap (as pure functions: no
+ * test here starts a pool or a tool at an out-of-range count).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
+#include "common/parallel.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -246,6 +252,78 @@ TEST(Units, CycleConversions)
 {
     EXPECT_DOUBLE_EQ(cyclesToSeconds(1e9, GHz), 1.0);
     EXPECT_DOUBLE_EQ(cyclesToMs(2e6, GHz), 2.0);
+}
+
+TEST(ParseInRange, AcceptsWholeNumbersInRange)
+{
+    EXPECT_EQ(parseInRange<uint32_t>("12", 0, 100), 12u);
+    EXPECT_EQ(parseInRange<uint32_t>("0", 0, 100), 0u);
+    EXPECT_EQ(parseInRange<uint32_t>("100", 0, 100), 100u);
+    EXPECT_EQ(parseInRange<int>("-1", -1, 65535), -1);
+    EXPECT_EQ(parseInRange<uint64_t>("18446744073709551615", 0,
+                                     std::numeric_limits<uint64_t>::max()),
+              std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(parseInRange<double>("0.25", 0.0, 1.0), 0.25);
+    EXPECT_EQ(parseInRange<double>("1e3", 0.0, 1e9), 1000.0);
+}
+
+TEST(ParseInRange, RejectsGarbageTrailingAndEmpty)
+{
+    EXPECT_FALSE(parseInRange<uint32_t>("abc", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>("12abc", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>("12 ", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>(" 12", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>("+12", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>("", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>("0x10", 0, 100));
+    EXPECT_FALSE(parseInRange<double>("1x", 0.0, 1e9));
+    EXPECT_FALSE(parseInRange<double>("", 0.0, 1e9));
+    EXPECT_FALSE(parseInRange<double>("nan", 0.0, 1e9));
+    EXPECT_FALSE(parseInRange<double>("inf", 0.0, 1e9));
+}
+
+TEST(ParseInRange, RejectsNegativesOverflowAndOutOfRange)
+{
+    // stoul would read "-1" as 2^64 - 1.
+    EXPECT_FALSE(parseInRange<uint32_t>("-1", 0, 100));
+    EXPECT_FALSE(parseInRange<uint64_t>(
+        "-1", 0, std::numeric_limits<uint64_t>::max()));
+    EXPECT_FALSE(parseInRange<uint32_t>("4294967296", 0,
+                                        std::numeric_limits<uint32_t>::max()));
+    EXPECT_FALSE(parseInRange<uint64_t>(
+        "18446744073709551616", 0, std::numeric_limits<uint64_t>::max()));
+    EXPECT_FALSE(parseInRange<double>("1e400", 0.0, 1e9));
+    EXPECT_FALSE(parseInRange<uint32_t>("101", 0, 100));
+    EXPECT_FALSE(parseInRange<uint32_t>("0", 1, 100));
+    EXPECT_FALSE(parseInRange<int>("-2", -1, 65535));
+    EXPECT_FALSE(parseInRange<double>("1.5", 0.0, 1.0));
+    EXPECT_FALSE(parseInRange<double>("-0.5", 0.0, 1.0));
+}
+
+TEST(ThreadCap, ClampIsPure)
+{
+    EXPECT_EQ(clampThreads(1), 1u);
+    EXPECT_EQ(clampThreads(kMaxThreads), kMaxThreads);
+    EXPECT_EQ(clampThreads(kMaxThreads + 1), kMaxThreads);
+    EXPECT_EQ(clampThreads(uint64_t{4294967295}), kMaxThreads);
+    EXPECT_EQ(clampThreads(std::numeric_limits<uint64_t>::max()),
+              kMaxThreads);
+}
+
+TEST(ThreadCap, EnvValueParsesStrictlyAndClamps)
+{
+    // Only the resolution is exercised; no pool is started.
+    EXPECT_EQ(threadsFromEnv(nullptr, 4), 4u);
+    EXPECT_EQ(threadsFromEnv("", 4), 4u);
+    EXPECT_EQ(threadsFromEnv("8", 4), 8u);
+    EXPECT_EQ(threadsFromEnv("abc", 4), 4u);
+    EXPECT_EQ(threadsFromEnv("12abc", 4), 4u);
+    EXPECT_EQ(threadsFromEnv("0", 4), 4u);
+    EXPECT_EQ(threadsFromEnv("-1", 4), 4u);
+    EXPECT_EQ(threadsFromEnv("99999999999999999999", 4), 4u);
+    EXPECT_EQ(threadsFromEnv("1024", 4), kMaxThreads);
+    EXPECT_EQ(threadsFromEnv("1025", 4), kMaxThreads);
+    EXPECT_EQ(threadsFromEnv("4294967295", 4), kMaxThreads);
 }
 
 } // namespace

@@ -11,14 +11,24 @@
  *   - `shortlist` is a pure function of the snapshot's view — same
  *     slots at any thread count, and a fresh corpus bootstrapped with
  *     an epoch's live set reproduces the live corpus's shortlist;
+ *   - chunked descriptor blocks: at corpus sizes 0, 1, 511, 512, 513
+ *     and 1500, with compacted slots, tombstones a pinned snapshot
+ *     still sees and staged-but-unpublished inserts, every key is
+ *     bitwise the per-candidate oracle's (tests/coarse_oracle.hh),
+ *     every shortlist — unpruned and tag-pruned, for SimGNN, GraphSim
+ *     chains and GMN-Li sketches, at threads 1/2/8 x scalar/AVX2 —
+ *     is the oracle's selection, each chunk is keyed by one scorer
+ *     call, and a freshly bootstrapped corpus shortlists the same
+ *     stable ids;
  *   - `ShardedLruCache::erase`/`eraseIf` (shards 1 and 16) and
  *     `MemoCache::invalidate` remove exactly the keyed entries;
  *   - `planMutations`/`liveIdsByEpoch` replay: the offline oracle's
  *     per-epoch id lists equal `CorpusSnapshot::liveIds()` of the
  *     corpus that actually applied the plan;
  *   - storm tests: snapshots pinned while a mutator races always read
- *     exactly one epoch's corpus (the TSan tier runs these with race
- *     detection on);
+ *     exactly one epoch's corpus, and shortlists over a chunk's
+ *     published rows never read the rows an insert is writing past
+ *     the bound (the TSan tier runs these with race detection on);
  *   - the `LiveGate.*` CI tier: a seeded interleaved mutation+query
  *     workload at 8 threads returns, for every request, the pinned
  *     epoch's exact id list and scores bit-identical to a serial
@@ -40,14 +50,17 @@
 #include <utility>
 #include <vector>
 
+#include "coarse_oracle.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/sharded_lru.hh"
+#include "common/simd.hh"
 #include "corpus/live_corpus.hh"
 #include "gmn/memo.hh"
 #include "gmn/model.hh"
 #include "graph/dataset.hh"
 #include "graph/generators.hh"
+#include "retrieval/tag_index.hh"
 #include "serve/loadgen.hh"
 #include "serve/service.hh"
 
@@ -341,6 +354,191 @@ TEST(LiveCorpusTest, ShortlistPureFunctionOfSnapshot)
     EXPECT_EQ(live_picked, offline_picked);
 }
 
+// ---- chunked descriptor blocks --------------------------------------
+
+/** Number of 512-slot chunks `slots` (ascending) fall into. */
+size_t
+chunksSpanned(const std::vector<uint32_t> &slots)
+{
+    std::set<uint32_t> chunks;
+    for (uint32_t s : slots)
+        chunks.insert(s >> 9);
+    return chunks.size();
+}
+
+/** Stage-1 oracle: visible slots sharing >= ceil(prune*|qtags|) tags. */
+std::vector<uint32_t>
+tagSurvivors(const CorpusSnapshot &snap, const Graph &query,
+             unsigned level, double prune)
+{
+    std::vector<uint64_t> qt = wlTagSet(query, level);
+    auto needed = std::max<size_t>(
+        1, static_cast<size_t>(
+               std::ceil(prune * static_cast<double>(qt.size()))));
+    std::vector<uint32_t> out;
+    for (uint32_t s : snap.liveSlots()) {
+        std::vector<uint64_t> gt = wlTagSet(snap.graph(s), level);
+        std::vector<uint64_t> common;
+        std::set_intersection(qt.begin(), qt.end(), gt.begin(), gt.end(),
+                              std::back_inserter(common));
+        if (common.size() >= needed)
+            out.push_back(s);
+    }
+    return out;
+}
+
+TEST(LiveCorpusBlocks, ShortlistsMatchOracleAcrossChunkBoundaries)
+{
+    using namespace coarse_oracle;
+    constexpr uint32_t kMax = 1500;
+    CloneSearchCorpus data =
+        makeCloneSearchCorpus(DatasetId::AIDS, 3, kMax);
+    MutationPool pool = makeMutationPool(DatasetId::AIDS, 6);
+    std::map<uint64_t, const Graph *> by_id = graphById(data, pool);
+
+    RetrievalConfig rc;
+    rc.mode = RetrievalMode::Cascade;
+    rc.shortlist = 16;
+    MutationConfig mc;
+    mc.compactTombstoneRatio = 0.0; // compact at every flush
+    const SimdLevel before = simdLevel();
+    ThreadPool &tp = ThreadPool::instance();
+
+    for (const KeyCase &kc : kKeyCases) {
+        SCOPED_TRACE(modelConfig(kc.id).name);
+        std::unique_ptr<GmnModel> model = makeModel(kc.id);
+        MemoCache memo; // the corpora below re-embed the same graphs
+        InferenceOptions infer;
+        infer.memo = &memo;
+        model->setInferenceOptions(infer);
+        auto descriptor = [&](const Graph &g, std::vector<float> &out) {
+            out = descriptorOf(*model, kc.modelAware, g, rc.tagLevel,
+                               rc.sketchDim);
+        };
+        // What each stable id's row must hold.
+        std::map<uint64_t, std::vector<float>> want_row;
+        for (const auto &[id, g] : by_id)
+            descriptor(*g, want_row[id]);
+
+        for (uint32_t n : {0u, 1u, 511u, 512u, 513u, kMax}) {
+            SCOPED_TRACE(testing::Message() << "corpus " << n);
+            const std::vector<uint64_t> &ids = data.candidateIds;
+            LiveCorpus corpus(mc);
+            corpus.enableIndex(rc, kc.modelAware, descriptor);
+            corpus.bootstrap(
+                std::vector<Graph>(data.candidates.begin(),
+                                   data.candidates.begin() + n),
+                std::vector<uint64_t>(ids.begin(), ids.begin() + n));
+            LiveCorpus::SnapshotPtr old;
+            if (n >= 4) {
+                // Compacted slots: removed, then reclaimed (unpinned).
+                ASSERT_TRUE(corpus.remove(ids[1]));
+                ASSERT_TRUE(corpus.remove(ids[n / 2]));
+                corpus.flush();
+                EXPECT_GT(corpus.compactions(), 0u);
+                ASSERT_TRUE(corpus.insert(pool.ids[0], pool.graphs[0]));
+                ASSERT_TRUE(corpus.insert(pool.ids[1], pool.graphs[1]));
+                corpus.flush();
+                // A tombstone `old` keeps visible, so not reclaimed.
+                old = corpus.pin();
+                ASSERT_TRUE(corpus.remove(ids[n - 1]));
+                ASSERT_TRUE(corpus.insert(pool.ids[2], pool.graphs[2]));
+                corpus.flush();
+            }
+            // Staged, unpublished inserts: rows past every bound.
+            for (size_t i = 3; i < pool.graphs.size(); ++i)
+                ASSERT_TRUE(corpus.insert(pool.ids[i], pool.graphs[i]));
+            LiveCorpus::SnapshotPtr snap = corpus.pin();
+            ASSERT_EQ(snap->liveCount(), n);
+
+            // Offline replay of the current view: a fresh corpus
+            // bootstrapped with its live set, compared by stable id.
+            std::vector<uint64_t> live_ids = snap->liveIds();
+            std::vector<Graph> live_graphs;
+            for (uint64_t id : live_ids)
+                live_graphs.push_back(*by_id.at(id));
+            LiveCorpus fresh(mc);
+            fresh.enableIndex(rc, kc.modelAware, descriptor);
+            fresh.bootstrap(std::move(live_graphs), live_ids);
+            LiveCorpus::SnapshotPtr fsnap = fresh.pin();
+
+            std::vector<const CorpusSnapshot *> views = {snap.get()};
+            if (old)
+                views.push_back(old.get());
+            for (const Graph &query : data.queries) {
+                std::unique_ptr<CoarseScorer> scorer = makeCoarseScorer(
+                    query, *model, kc.modelAware, rc.tagLevel,
+                    rc.sketchDim);
+                KeyFn oracle = keyFnFor(*model, kc.modelAware, query,
+                                        *scorer, rc.tagLevel,
+                                        rc.sketchDim);
+                auto oracleList = [&](const CorpusSnapshot &view,
+                                      const std::vector<uint32_t> &surv) {
+                    std::vector<std::pair<float, uint32_t>> keyed;
+                    for (uint32_t s : surv) {
+                        const std::vector<float> &row =
+                            want_row.at(view.id(s));
+                        keyed.push_back(
+                            {oracle(row.data(), serialSquaredNorm(row)),
+                             s});
+                    }
+                    return lowest(keyed, rc.shortlist);
+                };
+
+                std::vector<uint64_t> fresh_ids;
+                for (uint32_t s : fresh.shortlist(*fsnap, query, *model))
+                    fresh_ids.push_back(fsnap->id(s));
+
+                for (const CorpusSnapshot *view : views) {
+                    const std::vector<uint32_t> slots = view->liveSlots();
+                    const std::vector<uint32_t> want =
+                        oracleList(*view, slots);
+                    const std::vector<uint32_t> want_pruned = oracleList(
+                        *view, tagSurvivors(*view, query, rc.tagLevel, 0.25));
+                    for (SimdLevel level : simdLevels()) {
+                        setSimdLevel(level);
+                        for (uint32_t threads : {1u, 2u, 8u}) {
+                            SCOPED_TRACE(testing::Message()
+                                         << simdLevelName(level)
+                                         << " threads " << threads
+                                         << " epoch " << view->epoch());
+                            tp.setThreads(threads);
+                            std::vector<uint32_t> got =
+                                corpus.shortlist(*view, query, *model);
+                            EXPECT_EQ(got, want);
+                            if (view == snap.get()) {
+                                std::vector<uint64_t> got_ids;
+                                for (uint32_t s : got)
+                                    got_ids.push_back(view->id(s));
+                                EXPECT_EQ(got_ids, fresh_ids);
+                            }
+
+                            CheckedScorer checked(*scorer, oracle);
+                            EXPECT_EQ(corpus.shortlist(*view, checked,
+                                                       slots),
+                                      want);
+                            EXPECT_EQ(checked.mismatches.load(), 0u);
+                            bool ranked = slots.size() > rc.shortlist;
+                            EXPECT_EQ(checked.scored.load(),
+                                      ranked ? slots.size() : 0u);
+                            EXPECT_EQ(checked.calls.load(),
+                                      ranked ? chunksSpanned(slots) : 0u);
+
+                            corpus.setQueryKnobs(rc.shortlist, 0.25);
+                            EXPECT_EQ(corpus.shortlist(*view, query,
+                                                       *model),
+                                      want_pruned);
+                            corpus.setQueryKnobs(rc.shortlist, 0.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    setSimdLevel(before);
+    tp.setThreads(0);
+}
+
 // ---- memo invalidation primitives -----------------------------------
 
 TEST(ShardedLruTest, EraseAndEraseIfAtShards1And16)
@@ -575,6 +773,103 @@ TEST(LiveCorpusStorm, SnapshotsReadExactlyOneEpoch)
     // Readers released their pins continuously, so old epochs retired.
     EXPECT_GT(corpus.epochsReclaimed(), 0u);
     EXPECT_EQ(corpus.pin()->liveIds(), oracle.back());
+}
+
+TEST(LiveCorpusBlockStorm, ShortlistsReadOnlyPublishedRows)
+{
+    // 500 bootstrap slots leave chunk 0 twelve rows short: inserts
+    // write those rows, then chunk 1's, while readers shortlist the
+    // published rows of the same blocks. Insert-only, so a snapshot's
+    // view is exactly the slots below its bound.
+    using namespace coarse_oracle;
+    constexpr uint32_t kBoot = 500;
+    CloneSearchCorpus data =
+        makeCloneSearchCorpus(DatasetId::AIDS, 2, kBoot);
+    MutationPool pool = makeMutationPool(DatasetId::AIDS, 64);
+    std::unique_ptr<GmnModel> model = makeModel(ModelId::SimGnn);
+    MemoCache memo;
+    InferenceOptions infer;
+    infer.memo = &memo;
+    model->setInferenceOptions(infer);
+    auto descriptor = [&](const Graph &g, std::vector<float> &out) {
+        out.resize(model->coarseDim());
+        model->coarseDescriptor(g, out.data());
+    };
+
+    RetrievalConfig rc;
+    rc.mode = RetrievalMode::Cascade;
+    rc.shortlist = 8;
+    LiveCorpus corpus;
+    corpus.enableIndex(rc, true, descriptor);
+    corpus.bootstrap(data.candidates, data.candidateIds);
+
+    struct Seen
+    {
+        uint32_t bound;
+        size_t query;
+        std::vector<uint32_t> list;
+    };
+    std::atomic<bool> done{false};
+    std::atomic<size_t> warm{0};
+    std::vector<std::vector<Seen>> seen(3);
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < seen.size(); ++r) {
+        readers.emplace_back([&, r] {
+            size_t i = r;
+            do {
+                LiveCorpus::SnapshotPtr snap = corpus.pin();
+                size_t q = i++ % data.queries.size();
+                seen[r].push_back(
+                    {snap->bound(), q,
+                     corpus.shortlist(*snap, data.queries[q], *model)});
+                if (i == r + 1)
+                    warm.fetch_add(1);
+            } while (!done.load(std::memory_order_acquire));
+        });
+    }
+    // Start writing once every reader is looping. Odd inserts publish
+    // with a flush; even ones stay staged (their rows written,
+    // unpublished) while the readers run.
+    while (warm.load() < seen.size())
+        std::this_thread::yield();
+    for (size_t i = 0; i < pool.graphs.size(); ++i) {
+        ASSERT_TRUE(corpus.insert(pool.ids[i], pool.graphs[i]));
+        if (i % 2 == 1)
+            corpus.flush();
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread &t : readers)
+        t.join();
+
+    // The oracle over every row ever written, in slot order.
+    std::vector<std::vector<float>> rows;
+    for (const Graph &g : data.candidates)
+        descriptor(g, rows.emplace_back());
+    for (const Graph &g : pool.graphs)
+        descriptor(g, rows.emplace_back());
+    std::vector<std::vector<float>> keys;
+    for (const Graph &query : data.queries) {
+        std::unique_ptr<CoarseScorer> scorer = model->coarseScorer(query);
+        KeyFn oracle = keyFnFor(*model, true, query, *scorer, rc.tagLevel,
+                                rc.sketchDim);
+        std::vector<float> k;
+        for (const std::vector<float> &row : rows)
+            k.push_back(oracle(row.data(), 0.0f));
+        keys.push_back(std::move(k));
+    }
+    size_t checked = 0;
+    for (const std::vector<Seen> &list : seen) {
+        for (const Seen &v : list) {
+            std::vector<std::pair<float, uint32_t>> keyed;
+            for (uint32_t s = 0; s < v.bound; ++s)
+                keyed.push_back({keys[v.query][s], s});
+            ASSERT_EQ(v.list, lowest(keyed, rc.shortlist))
+                << "bound " << v.bound;
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, seen.size());
+    EXPECT_EQ(corpus.slotCount(), kBoot + pool.graphs.size());
 }
 
 // ---- LiveGate: the CI bit-identity tier -----------------------------

@@ -9,6 +9,12 @@
  *     partner-independent models, WL sketch for GMN-Li) and the
  *     shortlist kernel is a pure function of the vectors — same set on
  *     every call, id-ascending, with C=0 meaning "no cut";
+ *   - every block key (SimGNN's model-aware scorer, L2 over GraphSim
+ *     chains and GMN-Li sketches) is bitwise the per-candidate oracle's
+ *     (tests/coarse_oracle.hh) at any block grouping, thread count and
+ *     SIMD level, and the static index's shortlists — unpruned and
+ *     tag-pruned, at corpus sizes around one 512-row run — equal the
+ *     oracle's selection;
  *   - a cascade `SearchService`'s verified scores are bit-identical to
  *     exhaustive mode's for every candidate the cascade touches, at
  *     multiple thread counts and batch sizes, and pruned candidates
@@ -26,10 +32,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <vector>
 
+#include "coarse_oracle.hh"
 #include "common/parallel.hh"
+#include "common/simd.hh"
+#include "gmn/memo.hh"
 #include "gmn/model.hh"
 #include "graph/dataset.hh"
 #include "retrieval/coarse.hh"
@@ -181,8 +191,7 @@ TEST(Coarse, ShortlistIsDeterministicAndBounded)
         everyone[c] = c;
 
     for (size_t q = 0; q < corpus.queries.size(); ++q) {
-        std::vector<float> qv =
-            coarseVector(corpus.queries[q], *model, 1, 128);
+        L2CoarseScorer qv(coarseVector(corpus.queries[q], *model, 1, 128));
         std::vector<uint32_t> top = index.shortlist(qv, everyone, 6);
         ASSERT_EQ(top.size(), 6u);
         EXPECT_TRUE(std::is_sorted(top.begin(), top.end()));
@@ -195,6 +204,163 @@ TEST(Coarse, ShortlistIsDeterministicAndBounded)
                                        static_cast<uint32_t>(q)))
             << "query " << q;
     }
+}
+
+// ---- Block scorers vs the per-candidate oracle ----------------------
+
+/** Row-major matrix of `rows`, as the static index stores them. */
+Matrix
+stackRows(const std::vector<std::vector<float>> &rows)
+{
+    Matrix m(rows.size(), rows.empty() ? 0 : rows[0].size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        std::copy(rows[i].begin(), rows[i].end(), m.row(i));
+    return m;
+}
+
+TEST(CoarseBlockKeys, BitIdenticalToPerCandidateOracleAtAnyGrouping)
+{
+    using namespace coarse_oracle;
+    constexpr uint32_t kRows = 600; // past one 512-row run
+    CloneSearchCorpus corpus =
+        makeCloneSearchCorpus(DatasetId::AIDS, 3, kRows);
+    const SimdLevel before = simdLevel();
+    for (const KeyCase &kc : kKeyCases) {
+        SCOPED_TRACE(modelConfig(kc.id).name);
+        std::unique_ptr<GmnModel> model = makeModel(kc.id);
+        std::vector<std::vector<float>> desc;
+        for (const Graph &g : corpus.candidates)
+            desc.push_back(descriptorOf(*model, kc.modelAware, g, 1, 128));
+        Matrix block = stackRows(desc);
+        Matrix norms = rowSquaredNorms(block);
+        const CoarseBlock cb{block.data(), norms.data(), block.cols()};
+        std::vector<uint32_t> all(kRows);
+        for (uint32_t r = 0; r < kRows; ++r)
+            all[r] = r;
+        // A scattered list: every third row, descending.
+        std::vector<uint32_t> scattered;
+        for (uint32_t r = kRows; r-- > 0;)
+            if (r % 3 == 1)
+                scattered.push_back(r);
+
+        for (const Graph &query : corpus.queries) {
+            std::unique_ptr<CoarseScorer> scorer =
+                makeCoarseScorer(query, *model, kc.modelAware, 1, 128);
+            KeyFn oracle =
+                keyFnFor(*model, kc.modelAware, query, *scorer, 1, 128);
+            std::vector<float> want(kRows);
+            for (uint32_t r = 0; r < kRows; ++r)
+                want[r] = oracle(block.row(r), norms.at(r, 0));
+
+            for (SimdLevel level : simdLevels()) {
+                setSimdLevel(level);
+                for (uint32_t threads : {1u, 2u, 8u}) {
+                    ThreadPool::instance().setThreads(threads);
+                    for (size_t group : {size_t{1}, size_t{7}, size_t{512},
+                                         size_t{kRows}}) {
+                        std::vector<float> got(kRows);
+                        for (size_t i0 = 0; i0 < kRows; i0 += group) {
+                            size_t n = std::min(group, kRows - i0);
+                            scorer->keys(cb, all.data() + i0, n,
+                                         got.data() + i0);
+                        }
+                        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                              kRows * sizeof(float)),
+                                  0)
+                            << simdLevelName(level) << " threads "
+                            << threads << " group " << group;
+                    }
+                    std::vector<float> got(scattered.size());
+                    scorer->keys(cb, scattered.data(), scattered.size(),
+                                 got.data());
+                    for (size_t i = 0; i < scattered.size(); ++i)
+                        ASSERT_EQ(std::memcmp(&got[i], &want[scattered[i]],
+                                              sizeof(float)),
+                                  0)
+                            << simdLevelName(level) << " threads "
+                            << threads << " row " << scattered[i];
+                }
+            }
+        }
+    }
+    setSimdLevel(before);
+    ThreadPool::instance().setThreads(0);
+}
+
+TEST(CoarseIndexBlocks, ShortlistsAndKeysMatchOracle)
+{
+    using namespace coarse_oracle;
+    constexpr uint32_t kMax = 1500;
+    constexpr size_t kBudget = 16;
+    CloneSearchCorpus data =
+        makeCloneSearchCorpus(DatasetId::AIDS, 3, kMax);
+    const SimdLevel before = simdLevel();
+    for (const KeyCase &kc : kKeyCases) {
+        SCOPED_TRACE(modelConfig(kc.id).name);
+        std::unique_ptr<GmnModel> model = makeModel(kc.id);
+        MemoCache memo; // index builds below re-embed the same graphs
+        InferenceOptions infer;
+        infer.memo = &memo;
+        model->setInferenceOptions(infer);
+
+        std::vector<std::vector<float>> desc;
+        for (const Graph &g : data.candidates)
+            desc.push_back(descriptorOf(*model, kc.modelAware, g, 1, 128));
+        // Static norms are rowSquaredNorms, a per-row function, so a
+        // prefix index stores the prefix of these.
+        Matrix norms = rowSquaredNorms(stackRows(desc));
+
+        for (uint32_t n : {0u, 1u, 511u, 512u, 513u, kMax}) {
+            SCOPED_TRACE(testing::Message() << "corpus " << n);
+            std::vector<Graph> prefix(data.candidates.begin(),
+                                      data.candidates.begin() + n);
+            CoarseIndex index;
+            index.build(prefix, *model, 1, 128);
+            ASSERT_EQ(index.corpusSize(), n);
+            EXPECT_EQ(index.modelAware(), kc.modelAware && n > 0);
+            TagIndex tags;
+            tags.build(prefix, 1);
+
+            for (const Graph &query : data.queries) {
+                std::unique_ptr<CoarseScorer> scorer =
+                    makeCoarseScorer(query, *model, kc.modelAware, 1, 128);
+                KeyFn oracle =
+                    keyFnFor(*model, kc.modelAware, query, *scorer, 1, 128);
+                std::vector<uint32_t> everyone(n);
+                for (uint32_t c = 0; c < n; ++c)
+                    everyone[c] = c;
+                for (const std::vector<uint32_t> &surv :
+                     {everyone, tags.survivors(query, 0.25)}) {
+                    std::vector<std::pair<float, uint32_t>> keyed;
+                    for (uint32_t c : surv)
+                        keyed.push_back(
+                            {oracle(desc[c].data(), norms.at(c, 0)), c});
+                    const std::vector<uint32_t> want =
+                        lowest(keyed, kBudget);
+                    for (SimdLevel level : simdLevels()) {
+                        setSimdLevel(level);
+                        for (uint32_t threads : {1u, 2u, 8u}) {
+                            ThreadPool::instance().setThreads(threads);
+                            CheckedScorer checked(*scorer, oracle);
+                            EXPECT_EQ(index.shortlist(checked, surv,
+                                                      kBudget),
+                                      want)
+                                << simdLevelName(level) << " threads "
+                                << threads;
+                            EXPECT_EQ(checked.mismatches.load(), 0u);
+                            size_t scored =
+                                surv.size() > kBudget ? surv.size() : 0;
+                            EXPECT_EQ(checked.scored.load(), scored);
+                            EXPECT_EQ(checked.calls.load(),
+                                      (scored + 511) / 512);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    setSimdLevel(before);
+    ThreadPool::instance().setThreads(0);
 }
 
 // ---- RetrievalIndex (stage 1 + stage 2 composed) --------------------

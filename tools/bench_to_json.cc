@@ -93,6 +93,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -100,6 +101,7 @@
 #include "accel/runner.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "emf/emf.hh"
@@ -1048,37 +1050,30 @@ main(int argc, char **argv)
         } else if (arg == "--live") {
             live = true;
         } else if (arg == "--requests") {
-            requests = std::max<uint32_t>(
-                1, static_cast<uint32_t>(
-                       std::strtoul(next(), nullptr, 10)));
+            requests = flagValue<uint32_t>("--requests", next(), 1);
             requests_set = true;
         } else if (arg == "--load") {
-            load_fraction = std::strtod(next(), nullptr);
+            load_fraction = flagValue("--load", next(), 0.0, 100.0);
         } else if (arg == "--queries") {
-            num_queries =
-                static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+            num_queries = flagValue<uint32_t>("--queries", next(), 1);
             queries_set = true;
         } else if (arg == "--candidates") {
-            num_candidates =
-                static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+            num_candidates = flagValue<uint32_t>("--candidates", next(), 1);
             candidates_set = true;
         } else if (arg == "--reps") {
-            reps = std::max<uint32_t>(
-                1, static_cast<uint32_t>(
-                       std::strtoul(next(), nullptr, 10)));
+            reps = flagValue<uint32_t>("--reps", next(), 1);
         } else if (arg == "--threads") {
             thread_counts.clear();
-            const char *list = next();
-            for (const char *p = list; *p;) {
-                thread_counts.push_back(
-                    static_cast<uint32_t>(std::strtoul(p, nullptr, 10)));
-                p = std::strchr(p, ',');
-                p = p ? p + 1 : "";
+            std::string_view list = next();
+            for (size_t p = 0; p <= list.size();) {
+                size_t comma = std::min(list.find(',', p), list.size());
+                thread_counts.push_back(flagValue<uint32_t>(
+                    "--threads", list.substr(p, comma - p), 1,
+                    kMaxThreads));
+                p = comma + 1;
             }
-            if (thread_counts.empty())
-                fatal("empty --threads list");
         } else if (arg == "--min-ms") {
-            min_ms = std::strtod(next(), nullptr);
+            min_ms = flagValue("--min-ms", next(), 0.0, 1e7);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--kernels] [--out FILE|-] "

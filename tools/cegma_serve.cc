@@ -56,6 +56,7 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "obs/build_info.hh"
 #include "obs/trace.hh"
@@ -65,6 +66,9 @@
 using namespace cegma;
 
 namespace {
+
+/** Largest MiB budget a flag takes (16 TiB; budgets shift left by 20). */
+constexpr size_t kMaxMb = size_t(1) << 24;
 
 struct Options
 {
@@ -248,16 +252,19 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg.rfind("--shortlist=", 0) == 0) {
-            opts.retrieval.shortlist = std::stoul(arg.substr(12));
+            opts.retrieval.shortlist =
+                flagValue<size_t>("--shortlist", arg.substr(12));
         } else if (arg == "--shortlist") {
-            opts.retrieval.shortlist = std::stoul(next());
+            opts.retrieval.shortlist = flagValue<size_t>("--shortlist", next());
         } else if (arg.rfind("--tag-prune=", 0) == 0) {
-            opts.retrieval.tagPrune = std::stod(arg.substr(12));
+            opts.retrieval.tagPrune =
+                flagValue("--tag-prune", arg.substr(12), 0.0, 1.0);
         } else if (arg == "--tag-prune") {
-            opts.retrieval.tagPrune = std::stod(next());
+            opts.retrieval.tagPrune =
+                flagValue("--tag-prune", next(), 0.0, 1.0);
         } else if (arg == "--tag-level") {
             opts.retrieval.tagLevel =
-                static_cast<unsigned>(std::stoul(next()));
+                flagValue<unsigned>("--tag-level", next(), 0, 64);
         } else if (arg.rfind("--memo=", 0) == 0) {
             opts.memo = parseToggle(arg.substr(7), "--memo", argv[0]);
         } else if (arg == "--model") {
@@ -265,33 +272,35 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--dataset") {
             opts.dataset = parseDataset(next(), argv[0]);
         } else if (arg == "--candidates") {
-            opts.candidates =
-                static_cast<uint32_t>(std::stoul(next()));
+            opts.candidates = flagValue<uint32_t>("--candidates", next(), 1);
         } else if (arg == "--queries") {
-            opts.queries = static_cast<uint32_t>(std::stoul(next()));
+            opts.queries = flagValue<uint32_t>("--queries", next(), 1);
         } else if (arg == "--requests") {
-            opts.requests = static_cast<uint32_t>(std::stoul(next()));
+            opts.requests = flagValue<uint32_t>("--requests", next(), 1);
         } else if (arg == "--qps") {
-            opts.qps = std::stod(next());
+            opts.qps = flagValue("--qps", next(), 0.0, 1e9);
         } else if (arg == "--clients") {
-            opts.clients = static_cast<uint32_t>(std::stoul(next()));
+            opts.clients =
+                flagValue<uint32_t>("--clients", next(), 1, kMaxThreads);
         } else if (arg == "--batch") {
-            opts.batch = static_cast<uint32_t>(std::stoul(next()));
+            opts.batch = flagValue<uint32_t>("--batch", next(), 1);
         } else if (arg == "--flush-us") {
-            opts.flushUs = static_cast<uint32_t>(std::stoul(next()));
+            opts.flushUs = flagValue<uint32_t>("--flush-us", next());
         } else if (arg == "--topk") {
-            opts.topk = static_cast<uint32_t>(std::stoul(next()));
+            opts.topk = flagValue<uint32_t>("--topk", next());
         } else if (arg == "--memo-mb") {
-            opts.memoMb = std::stoul(next());
+            opts.memoMb = flagValue<size_t>("--memo-mb", next(), 0, kMaxMb);
         } else if (arg == "--pipeline-depth") {
             opts.pipelineDepth =
-                static_cast<uint32_t>(std::stoul(next()));
+                flagValue<uint32_t>("--pipeline-depth", next());
         } else if (arg == "--workspace-mb") {
-            opts.workspaceMb = std::stoul(next());
+            opts.workspaceMb =
+                flagValue<size_t>("--workspace-mb", next(), 0, kMaxMb);
         } else if (arg == "--threads") {
-            opts.threads = static_cast<uint32_t>(std::stoul(next()));
+            opts.threads =
+                flagValue<uint32_t>("--threads", next(), 0, kMaxThreads);
         } else if (arg == "--seed") {
-            opts.seed = std::stoull(next());
+            opts.seed = flagValue<uint64_t>("--seed", next());
         } else if (arg == "--json") {
             opts.json = true;
         } else if (arg == "--csv") {
@@ -301,56 +310,60 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--trace-out") {
             opts.traceOut = next();
         } else if (arg == "--metrics-every") {
-            opts.metricsEvery = std::stod(next());
+            opts.metricsEvery = flagValue("--metrics-every", next(), 0.0, 1e9);
         } else if (arg == "--slow-ms") {
-            opts.slowMs = std::stod(next());
+            opts.slowMs = flagValue("--slow-ms", next(), 0.0, 1e9);
         } else if (arg.rfind("--admin-port=", 0) == 0) {
-            opts.adminPort = std::stoi(arg.substr(13));
+            opts.adminPort =
+                flagValue("--admin-port", arg.substr(13), -1, 65535);
         } else if (arg == "--admin-port") {
-            opts.adminPort = std::stoi(next());
+            opts.adminPort = flagValue("--admin-port", next(), -1, 65535);
         } else if (arg == "--slo-ms") {
-            opts.sloMs = std::stod(next());
+            opts.sloMs = flagValue("--slo-ms", next(), 0.0, 1e9);
         } else if (arg == "--slo-objective") {
-            opts.sloObjective = std::stod(next());
+            opts.sloObjective = flagValue("--slo-objective", next(), 0.0, 1.0);
         } else if (arg == "--hw-counters") {
             opts.hwCounters = true;
         } else if (arg == "--deadline-ms") {
-            opts.deadlineMs = std::stod(next());
+            opts.deadlineMs = flagValue("--deadline-ms", next(), 0.0, 1e9);
         } else if (arg == "--shed-watermark") {
-            opts.shedWatermark = std::stoul(next());
+            opts.shedWatermark = flagValue<size_t>("--shed-watermark", next());
         } else if (arg == "--drain-timeout-ms") {
-            opts.drainTimeoutMs = std::stod(next());
+            opts.drainTimeoutMs =
+                flagValue("--drain-timeout-ms", next(), 0.0, 1e9);
         } else if (arg == "--retries") {
-            opts.retries = static_cast<uint32_t>(std::stoul(next()));
+            opts.retries = flagValue<uint32_t>("--retries", next(), 0, 1000);
         } else if (arg == "--backoff-ms") {
-            opts.backoffMs = std::stod(next());
+            opts.backoffMs = flagValue("--backoff-ms", next(), 0.0, 1e9);
         } else if (arg == "--fault-error-prob") {
-            opts.faults.errorProb = std::stod(next());
+            opts.faults.errorProb =
+                flagValue("--fault-error-prob", next(), 0.0, 1.0);
         } else if (arg == "--fault-delay-prob") {
-            opts.faults.delayProb = std::stod(next());
+            opts.faults.delayProb =
+                flagValue("--fault-delay-prob", next(), 0.0, 1.0);
         } else if (arg == "--fault-delay-us") {
             opts.faults.delayMicros =
-                static_cast<uint32_t>(std::stoul(next()));
+                flagValue<uint32_t>("--fault-delay-us", next());
         } else if (arg == "--fault-stall-batches") {
             opts.faults.stallBatches =
-                static_cast<uint32_t>(std::stoul(next()));
+                flagValue<uint32_t>("--fault-stall-batches", next());
         } else if (arg == "--fault-stall-us") {
             opts.faults.stallMicros =
-                static_cast<uint32_t>(std::stoul(next()));
+                flagValue<uint32_t>("--fault-stall-us", next());
         } else if (arg == "--fault-seed") {
-            opts.faults.seed = std::stoull(next());
+            opts.faults.seed = flagValue<uint64_t>("--fault-seed", next());
         } else if (arg == "--mutate-rate") {
-            opts.mutateRate = std::stod(next());
+            opts.mutateRate = flagValue("--mutate-rate", next(), 0.0, 1e6);
         } else if (arg == "--mutate-inserts") {
-            opts.mutateInserts = std::stod(next());
+            opts.mutateInserts =
+                flagValue("--mutate-inserts", next(), 0.0, 1.0);
         } else if (arg == "--mutate-publish") {
             opts.mutatePublish =
-                static_cast<uint32_t>(std::stoul(next()));
+                flagValue<uint32_t>("--mutate-publish", next(), 1);
         } else if (arg == "--mutate-pool") {
-            opts.mutatePool =
-                static_cast<uint32_t>(std::stoul(next()));
+            opts.mutatePool = flagValue<uint32_t>("--mutate-pool", next());
         } else if (arg == "--skew") {
-            opts.skew = std::stod(next());
+            opts.skew = flagValue("--skew", next(), 0.0, 1e3);
         } else if (arg == "--version") {
             std::printf("%s\n", obs::buildInfoString().c_str());
             std::exit(0);

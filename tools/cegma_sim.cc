@@ -24,10 +24,12 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "accel/runner.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "common/units.hh"
 #include "io/trace_io.hh"
@@ -152,13 +154,14 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--platform") {
             opts.platform = parsePlatform(next());
         } else if (arg == "--pairs") {
-            opts.pairs = static_cast<uint32_t>(std::stoul(next()));
+            opts.pairs = flagValue<uint32_t>("--pairs", next(), 1);
         } else if (arg == "--seed") {
-            opts.seed = std::stoull(next());
+            opts.seed = flagValue<uint64_t>("--seed", next());
         } else if (arg == "--batch") {
-            opts.batch = static_cast<uint32_t>(std::stoul(next()));
+            opts.batch = flagValue<uint32_t>("--batch", next(), 1);
         } else if (arg == "--threads") {
-            opts.threads = static_cast<uint32_t>(std::stoul(next()));
+            opts.threads =
+                flagValue<uint32_t>("--threads", next(), 0, kMaxThreads);
         } else if (arg == "--save-traces") {
             opts.saveTraces = next();
         } else if (arg == "--load-traces") {
@@ -176,12 +179,11 @@ parseArgs(int argc, char **argv)
             size_t x = spec.find('x');
             if (x == std::string::npos)
                 usage(argv[0]);
-            opts.cloneQueries =
-                static_cast<uint32_t>(std::stoul(spec.substr(0, x)));
-            opts.cloneCandidates =
-                static_cast<uint32_t>(std::stoul(spec.substr(x + 1)));
-            if (opts.cloneQueries == 0 || opts.cloneCandidates == 0)
-                usage(argv[0]);
+            std::string_view qc(spec);
+            opts.cloneQueries = flagValue<uint32_t>(
+                "--clone-search (queries)", qc.substr(0, x), 1);
+            opts.cloneCandidates = flagValue<uint32_t>(
+                "--clone-search (candidates)", qc.substr(x + 1), 1);
         } else if (arg == "--version") {
             std::printf("%s\n", obs::buildInfoString().c_str());
             std::exit(0);
