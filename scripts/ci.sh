@@ -139,6 +139,13 @@ CEGMA_THREADS=8 ./build-tsan/tests/corpus_test \
 CEGMA_THREADS=8 ./build-tsan/tests/retrieval_test \
     --gtest_filter='CoarseBlockKeys.*:CoarseIndexBlocks.*'
 
+# SimGNN's exact path under TSan: each query's terms are built once
+# and then read by every pool worker scoring that query's pairs, over
+# the dedup x memo x threads x SIMD grid against a serial oracle.
+echo "== tsan: SimGNN exact path (CEGMA_THREADS=8) =="
+CEGMA_THREADS=8 ./build-tsan/tests/dedup_exec_test \
+    --gtest_filter='SimGnnExactPath.*'
+
 echo "== asan: instrumented build =="
 cmake -B build-asan -S . -DCEGMA_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$jobs"
@@ -177,6 +184,13 @@ echo "== asan: live-corpus gate =="
     --gtest_filter='LiveGate.*:LiveCorpusStorm.*:LiveCorpusBlocks.*:LiveCorpusBlockStorm.*'
 ./build-asan/tests/retrieval_test \
     --gtest_filter='CoarseBlockKeys.*:CoarseIndexBlocks.*'
+
+# SimGNN's exact path under ASan+UBSan: the shared query terms hold
+# the query's memo entry alive while the starved-budget grid evicts
+# or refuses every other entry, and the score-only forward must never
+# read a Detail it no longer builds.
+echo "== asan: SimGNN exact path =="
+./build-asan/tests/dedup_exec_test --gtest_filter='SimGnnExactPath.*'
 
 # Admin-plane smoke under ASan+UBSan: a real cegma_serve process on an
 # ephemeral admin port (printed on stdout), scraped with curl *while

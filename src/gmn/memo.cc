@@ -50,6 +50,7 @@ graphEmbeddingBytes(const GraphEmbedding &embed)
     size_t bytes = sizeof(GraphEmbedding);
     for (const Matrix &m : embed.layers)
         bytes += sizeof(Matrix) + m.size() * sizeof(float);
+    bytes += embed.projection.size() * sizeof(float);
     return bytes;
 }
 

@@ -75,6 +75,14 @@ struct GraphEmbedding
      * the output of embedding layer l (size numLayers + 1).
      */
     std::vector<Matrix> layers;
+
+    /**
+     * SimGNN's graph-level projection hx = project(readout(last
+     * layer)), 1 x 128: the NTN input of its exact head and the first
+     * half of its coarse descriptor, stored so neither recomputes it
+     * per pair. Empty for models without one.
+     */
+    Matrix projection;
 };
 
 /** Approximate resident bytes of a WL coloring. */

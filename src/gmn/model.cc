@@ -35,12 +35,6 @@ modelConfig(ModelId id)
     panic("unknown model id %d", static_cast<int>(id));
 }
 
-double
-GmnModel::score(GraphPairView pair) const
-{
-    return forwardDetailed(pair).score;
-}
-
 std::unique_ptr<GmnModel>
 makeModel(ModelId id, uint64_t seed)
 {

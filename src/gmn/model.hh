@@ -169,6 +169,18 @@ class CoarseScorer
                       size_t n, float *keys) const = 0;
 };
 
+/**
+ * The part of a model's exact score that depends on the query graph
+ * alone, built once per query by `GmnModel::queryTerms` and shared by
+ * every pair of that query. Opaque and immutable, so any number of
+ * threads may score with it at once; must not outlive its model.
+ */
+class QueryTerms
+{
+  public:
+    virtual ~QueryTerms() = default;
+};
+
 /** Functional GMN inference model. */
 class GmnModel
 {
@@ -206,8 +218,41 @@ class GmnModel
      */
     virtual Detail forwardDetailed(GraphPairView pair) const = 0;
 
-    /** Run inference, returning only the score. */
-    double score(GraphPairView pair) const;
+    /**
+     * Run inference, returning only the score: `score(pair, nullptr)`,
+     * bit-identical to `forwardDetailed(pair).score`.
+     */
+    double score(GraphPairView pair) const
+    {
+        return scoreWith(pair, nullptr);
+    }
+
+    /**
+     * The exact score of `pair`, bit-identical to
+     * `forwardDetailed(pair).score`, taking the query-side work from
+     * `terms`. `terms` must be null or the result of
+     * `queryTerms(pair.query)` on this same model; null computes
+     * those terms inline. A model may skip building the `Detail` here.
+     */
+    double score(GraphPairView pair, const QueryTerms *terms) const
+    {
+        return scoreWith(pair, terms);
+    }
+
+    /**
+     * Everything of the exact score that depends on `query` alone,
+     * for `score(pair, terms)` over many candidates of that query
+     * (SimGNN: the query's embedding chain and its NTN products
+     * W_k·hy and v_k[E:]·hy). Null when the model keeps no such terms
+     * (GMN-Li's cross feedback, GraphSim), which `score` accepts.
+     * Goes through the memo cache like `graphEmbedding`.
+     */
+    virtual std::shared_ptr<const QueryTerms>
+    queryTerms(const Graph &query) const
+    {
+        (void)query;
+        return nullptr;
+    }
 
     /**
      * The per-graph embedding chain of `g` alone, or null when the
@@ -271,6 +316,18 @@ class GmnModel
 
   protected:
     explicit GmnModel(ModelConfig config) : config_(std::move(config)) {}
+
+    /**
+     * Both `score` overloads. `terms` is null or this model's own
+     * `queryTerms(pair.query)`; the default ignores it and builds the
+     * full `Detail`.
+     */
+    virtual double scoreWith(GraphPairView pair,
+                             const QueryTerms *terms) const
+    {
+        (void)terms;
+        return forwardDetailed(pair).score;
+    }
 
     /**
      * The memo cache usable for per-graph embedding chains: null for

@@ -29,6 +29,20 @@ constexpr size_t embedDim = SimGnnCoarseScorer::kEmbedDim;
 constexpr size_t histBins = SimGnnCoarseScorer::kHistBins;
 constexpr size_t ntnSlices = SimGnnCoarseScorer::kSlices;
 
+class SimGnnModel;
+
+/**
+ * SimGNN's per-query exact terms: the query's embedding chain (its
+ * last layer enters the similarity matrix, its projection hy the NTN)
+ * and the NTN's query product over hy.
+ */
+struct SimGnnQueryTerms final : QueryTerms
+{
+    const SimGnnModel *model = nullptr;
+    std::shared_ptr<const GraphEmbedding> embed;
+    Ntn::QueryProduct product;
+};
+
 class SimGnnModel : public GmnModel
 {
   public:
@@ -69,8 +83,8 @@ class SimGnnModel : public GmnModel
     {
         std::shared_ptr<const GraphEmbedding> e = embedCached(g);
         const Matrix &x = e->layers.back();
-        Matrix h = project_.forward(readout(x));
-        std::copy(h.data(), h.data() + h.size(), out);
+        std::copy(e->projection.data(),
+                  e->projection.data() + e->projection.size(), out);
         Matrix hist = similarityHistogram(
             similarityMatrix(x, x, config_.similarity));
         std::copy(hist.data(), hist.data() + hist.size(),
@@ -80,14 +94,24 @@ class SimGnnModel : public GmnModel
     std::unique_ptr<CoarseScorer>
     coarseScorer(const Graph &query) const override;
 
-  private:
-    /** hx = project(readout(last chain layer)): the NTN input. */
-    Matrix
-    graphProjection(const Graph &g) const
+    std::shared_ptr<const QueryTerms>
+    queryTerms(const Graph &query) const override;
+
+  protected:
+    double
+    scoreWith(GraphPairView pair, const QueryTerms *terms) const override
     {
-        std::shared_ptr<const GraphEmbedding> e = embedCached(g);
-        return project_.forward(readout(e->layers.back()));
+        return pairScore(pair, terms, nullptr);
     }
+
+  private:
+    /**
+     * The one exact forward: `score` passes no `Detail`, so a served
+     * pair copies no layer or similarity matrix; `forwardDetailed`
+     * fills one. Without `terms` the query's are built inline.
+     */
+    double pairScore(GraphPairView pair, const QueryTerms *terms,
+                     Detail *detail) const;
 
     /** SimGNN's global-context attention readout: 1 x nodeDim. */
     Matrix
@@ -135,6 +159,7 @@ class SimGnnModel : public GmnModel
             x = layers_[l].forward(g, x, wl.signatures[l]);
             embed.layers.push_back(x);
         }
+        embed.projection = project_.forward(readout(x));
         return embed;
     }
 
@@ -161,16 +186,46 @@ GmnModel::Detail
 SimGnnModel::forwardDetailed(GraphPairView pair) const
 {
     Detail detail;
+    detail.score = pairScore(pair, nullptr, &detail);
+    return detail;
+}
+
+std::shared_ptr<const QueryTerms>
+SimGnnModel::queryTerms(const Graph &query) const
+{
+    auto terms = std::make_shared<SimGnnQueryTerms>();
+    terms->model = this;
+    {
+        obs::StageScope stage("embed",
+                              stageHist(&obs::StageSink::embedUs),
+                              &obs::StageAccum::embedNs);
+        terms->embed = embedCached(query);
+    }
+    obs::StageScope stage("head", stageHist(&obs::StageSink::headUs),
+                          &obs::StageAccum::headNs);
+    terms->product = ntn_.queryProduct(terms->embed->projection);
+    return terms;
+}
+
+double
+SimGnnModel::pairScore(GraphPairView pair, const QueryTerms *terms,
+                       Detail *detail) const
+{
+    const auto *qt = dynamic_cast<const SimGnnQueryTerms *>(terms);
+    cegma_assert((qt != nullptr) == (terms != nullptr) &&
+                 (qt == nullptr || qt->model == this));
     std::shared_ptr<const GraphEmbedding> et, eq;
     {
         obs::StageScope stage("embed",
                               stageHist(&obs::StageSink::embedUs),
                               &obs::StageAccum::embedNs);
         et = embedCached(pair.target);
-        eq = embedCached(pair.query);
+        eq = qt != nullptr ? qt->embed : embedCached(pair.query);
     }
-    detail.xLayers = et->layers;
-    detail.yLayers = eq->layers;
+    if (detail != nullptr) {
+        detail->xLayers = et->layers;
+        detail->yLayers = eq->layers;
+    }
     const Matrix &x = et->layers.back();
     const Matrix &y = eq->layers.back();
 
@@ -201,16 +256,18 @@ SimGnnModel::forwardDetailed(GraphPairView pair) const
     obs::StageScope stage("head", stageHist(&obs::StageSink::headUs),
                           &obs::StageAccum::headNs);
     Matrix hist = similarityHistogram(s);
-    detail.simLayers.push_back(std::move(s));
+    if (detail != nullptr)
+        detail->simLayers.push_back(std::move(s));
 
-    Matrix hx = project_.forward(readout(x));
-    Matrix hy = project_.forward(readout(y));
-    Matrix interaction = ntn_.forward(hx, hy);
+    Ntn::QueryProduct inline_product;
+    if (qt == nullptr)
+        inline_product = ntn_.queryProduct(eq->projection);
+    Matrix interaction = ntn_.forwardPair(
+        et->projection, qt != nullptr ? qt->product : inline_product);
 
     Matrix head_in = hconcat({&interaction, &hist});
     Matrix out = head_.forward(head_in);
-    detail.score = out.at(0, 0);
-    return detail;
+    return out.at(0, 0);
 }
 
 std::unique_ptr<CoarseScorer>
@@ -218,11 +275,10 @@ SimGnnModel::coarseScorer(const Graph &query) const
 {
     std::shared_ptr<const GraphEmbedding> e = embedCached(query);
     const Matrix &y = e->layers.back();
-    Matrix hy = project_.forward(readout(y));
     Matrix hist = similarityHistogram(
         similarityMatrix(y, y, config_.similarity));
-    return std::make_unique<SimGnnCoarseScorer>(ntn_.queryFactor(hy),
-                                                std::move(hist), head_);
+    return std::make_unique<SimGnnCoarseScorer>(
+        ntn_.queryFactor(e->projection), std::move(hist), head_);
 }
 
 } // namespace

@@ -78,6 +78,8 @@ XxHash32Stream::reset()
 void
 XxHash32Stream::update(const void *data, size_t len)
 {
+    if (len == 0)
+        return; // an empty graph's arrays may hand in a null pointer
     const uint8_t *p = static_cast<const uint8_t *>(data);
     totalLen_ += len;
 

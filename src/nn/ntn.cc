@@ -18,26 +18,40 @@ Ntn::Ntn(size_t in_dim, size_t slices, Rng &rng)
     bias_.fillXavier(rng);
 }
 
+Ntn::QueryProduct
+Ntn::queryProduct(const Matrix &h2) const
+{
+    cegma_assert(h2.rows() == 1 && h2.cols() == inDim_);
+    QueryProduct p{Matrix(slices_, inDim_), Matrix(1, slices_)};
+    for (size_t k = 0; k < slices_; ++k) {
+        const Matrix &w = tensors_[k];
+        float *g = p.g.row(k);
+        for (size_t i = 0; i < inDim_; ++i)
+            g[i] = dot(w.row(i), h2.row(0), inDim_);
+        p.lin.at(0, k) = dot(v_.row(k) + inDim_, h2.row(0), inDim_);
+    }
+    return p;
+}
+
 Matrix
-Ntn::forward(const Matrix &h1, const Matrix &h2) const
+Ntn::forwardPair(const Matrix &h1, const QueryProduct &p) const
 {
     cegma_assert(h1.rows() == 1 && h1.cols() == inDim_);
-    cegma_assert(h2.rows() == 1 && h2.cols() == inDim_);
+    cegma_assert(p.g.rows() == slices_ && p.g.cols() == inDim_);
 
     Matrix out(1, slices_);
     for (size_t k = 0; k < slices_; ++k) {
         // h1 W_k h2^T
-        const Matrix &w = tensors_[k];
+        const float *g = p.g.row(k);
         float bilinear = 0.0f;
         for (size_t i = 0; i < inDim_; ++i) {
             float hi = h1.at(0, i);
             if (hi == 0.0f)
                 continue;
-            bilinear += hi * dot(w.row(i), h2.row(0), inDim_);
+            bilinear += hi * g[i];
         }
         // v_k [h1; h2]
-        float lin = dot(v_.row(k), h1.row(0), inDim_) +
-                    dot(v_.row(k) + inDim_, h2.row(0), inDim_);
+        float lin = dot(v_.row(k), h1.row(0), inDim_) + p.lin.at(0, k);
         float s = bilinear + lin + bias_.at(0, k);
         out.at(0, k) = s > 0.0f ? s : 0.0f;
     }
@@ -45,33 +59,24 @@ Ntn::forward(const Matrix &h1, const Matrix &h2) const
 }
 
 Matrix
-Ntn::queryFactor(const Matrix &h2) const
+Ntn::forward(const Matrix &h1, const Matrix &h2) const
 {
-    cegma_assert(h2.rows() == 1 && h2.cols() == inDim_);
-    Matrix factor(slices_, inDim_ + 1);
-    for (size_t k = 0; k < slices_; ++k) {
-        const Matrix &w = tensors_[k];
-        float *f = factor.row(k);
-        for (size_t i = 0; i < inDim_; ++i)
-            f[i] = dot(w.row(i), h2.row(0), inDim_) + v_.at(k, i);
-        f[inDim_] = dot(v_.row(k) + inDim_, h2.row(0), inDim_) +
-                    bias_.at(0, k);
-    }
-    return factor;
+    return forwardPair(h1, queryProduct(h2));
 }
 
 Matrix
-Ntn::forwardFactored(const Matrix &h1, const Matrix &factor)
+Ntn::queryFactor(const Matrix &h2) const
 {
-    size_t in = factor.cols() - 1;
-    cegma_assert(h1.rows() == 1 && h1.cols() == in);
-    Matrix out(1, factor.rows());
-    for (size_t k = 0; k < factor.rows(); ++k) {
-        const float *f = factor.row(k);
-        float s = dot(h1.row(0), f, in) + f[in];
-        out.at(0, k) = s > 0.0f ? s : 0.0f;
+    QueryProduct p = queryProduct(h2);
+    Matrix factor(slices_, inDim_ + 1);
+    for (size_t k = 0; k < slices_; ++k) {
+        const float *g = p.g.row(k);
+        float *f = factor.row(k);
+        for (size_t i = 0; i < inDim_; ++i)
+            f[i] = g[i] + v_.at(k, i);
+        f[inDim_] = p.lin.at(0, k) + bias_.at(0, k);
     }
-    return out;
+    return factor;
 }
 
 uint64_t

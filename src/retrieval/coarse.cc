@@ -60,17 +60,18 @@ CoarseIndex::build(const std::vector<Graph> &corpus, const GmnModel &model,
                    unsigned sketch_level, unsigned sketch_dim)
 {
     CEGMA_TRACE_SCOPE_CAT("coarseIndex.build", "retrieval");
-    modelAware_ = false;
+    // A property of the model, not of the corpus: an empty index
+    // still ranks with the model's scorer once graphs arrive.
+    modelAware_ = model.coarseDim() > 0;
     if (corpus.empty()) {
         vectors_ = Matrix();
         norms_ = Matrix();
         return;
     }
-    if (model.coarseDim() > 0) {
+    if (modelAware_) {
         // The model decomposes its head per graph: store its own
         // descriptors and let its scorer rank them. The
         // descriptors go through the memo like the generic chain path.
-        modelAware_ = true;
         vectors_ = Matrix(corpus.size(), model.coarseDim());
         parallelFor(0, corpus.size(), 1, [&](size_t g0, size_t g1) {
             for (size_t g = g0; g < g1; ++g)

@@ -27,11 +27,16 @@ RetrievalIndex::shortlist(const Graph &query, const GmnModel &model,
 {
     std::vector<uint32_t> survivors =
         tags_.survivors(query, config_.tagPrune);
-    std::unique_ptr<CoarseScorer> scorer =
-        makeCoarseScorer(query, model, coarse_.modelAware(),
-                         config_.tagLevel, config_.sketchDim);
-    std::vector<uint32_t> shortlisted =
-        coarse_.shortlist(*scorer, survivors, config_.shortlist);
+    std::vector<uint32_t> shortlisted;
+    if (config_.shortlist == 0 || survivors.size() <= config_.shortlist) {
+        shortlisted = survivors; // within budget: nothing to rank
+    } else {
+        std::unique_ptr<CoarseScorer> scorer =
+            makeCoarseScorer(query, model, coarse_.modelAware(),
+                             config_.tagLevel, config_.sketchDim);
+        shortlisted =
+            coarse_.shortlist(*scorer, survivors, config_.shortlist);
+    }
     if (stages != nullptr) {
         stages->corpus = tags_.corpusSize();
         stages->survivors = survivors.size();

@@ -72,13 +72,12 @@ struct SearchService::BatchWork : PipelineItem
     std::vector<double> scores;
 };
 
-std::vector<SearchHit>
-topKHits(const std::vector<double> &scores, uint32_t k)
+namespace {
+
+/** Keep the best `k` of `hits`, sorted, under `topKHits`'s order. */
+void
+selectTopK(std::vector<SearchHit> &hits, uint32_t k)
 {
-    std::vector<SearchHit> hits;
-    hits.reserve(scores.size());
-    for (size_t c = 0; c < scores.size(); ++c)
-        hits.push_back(SearchHit{static_cast<uint32_t>(c), scores[c]});
     // NaN-aware comparator: NaN orders strictly after every real
     // score (and by index among NaNs). The naive `a.score > b.score`
     // form is not a strict weak ordering once a NaN appears — NaN
@@ -104,6 +103,29 @@ topKHits(const std::vector<double> &scores, uint32_t k)
     std::sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(keep),
               better);
     hits.resize(keep);
+}
+
+} // namespace
+
+std::vector<SearchHit>
+topKHits(const std::vector<double> &scores, uint32_t k)
+{
+    std::vector<SearchHit> hits;
+    hits.reserve(scores.size());
+    for (size_t c = 0; c < scores.size(); ++c)
+        hits.push_back(SearchHit{static_cast<uint32_t>(c), scores[c]});
+    selectTopK(hits, k);
+    return hits;
+}
+
+std::vector<SearchHit>
+topKScoredHits(std::vector<SearchHit> hits, uint32_t k)
+{
+    // The dense vector's extra entries are NaN, which order after
+    // every real score, so its top-k minus the NaN tail is this one's.
+    selectTopK(hits, k);
+    while (!hits.empty() && std::isnan(hits.back().score))
+        hits.pop_back();
     return hits;
 }
 
@@ -883,17 +905,30 @@ SearchService::matchExhaustive(BatchWork &work)
     const size_t num_pairs = num_queries * num_candidates;
     work.scores.assign(num_pairs, 0.0);
     if (num_pairs > 0) {
+        // Each query's exact-score terms: built once, charged to its
+        // request, shared by all of its pairs.
+        std::vector<std::shared_ptr<const QueryTerms>> terms(num_queries);
+        parallelFor(0, num_queries, 1, [&](size_t q0, size_t q1) {
+            for (size_t q = q0; q < q1; ++q) {
+                if (work.accums)
+                    obs::setCurrentStageAccum(&work.accums[q]);
+                terms[q] = model_->queryTerms(work.live[q].query);
+            }
+            if (work.accums)
+                obs::setCurrentStageAccum(nullptr);
+        });
         obs::TraceScope span("batch.score", "serve", "batch_size",
                              num_queries);
         parallelFor(0, num_pairs, 1, [&](size_t i0, size_t i1) {
             for (size_t i = i0; i < i1; ++i) {
-                if (work.accums) {
-                    obs::setCurrentStageAccum(
-                        &work.accums[i / num_candidates]);
-                }
-                work.scores[i] = model_->score(GraphPairView(
-                    work.snap->graph(work.slots[i % num_candidates]),
-                    work.live[i / num_candidates].query));
+                const size_t q = i / num_candidates;
+                if (work.accums)
+                    obs::setCurrentStageAccum(&work.accums[q]);
+                work.scores[i] = model_->score(
+                    GraphPairView(
+                        work.snap->graph(work.slots[i % num_candidates]),
+                        work.live[q].query),
+                    terms[q].get());
             }
             if (work.accums)
                 obs::setCurrentStageAccum(nullptr);
@@ -939,6 +974,9 @@ SearchService::matchCascade(BatchWork &work)
     // concurrent mutations.
     work.lists.resize(num_queries);
     work.stages.resize(num_queries);
+    // Each query's exact-score terms are built next to its shortlist,
+    // charged to the same request, and shared by all its pairs below.
+    std::vector<std::shared_ptr<const QueryTerms>> terms(num_queries);
     {
         obs::TraceScope span("batch.retrieve", "serve", "batch_size",
                              num_queries);
@@ -949,6 +987,8 @@ SearchService::matchCascade(BatchWork &work)
                 work.lists[q] =
                     corpus_.shortlist(*work.snap, work.live[q].query,
                                       *model_, &work.stages[q]);
+                if (!work.lists[q].empty())
+                    terms[q] = model_->queryTerms(work.live[q].query);
             }
             if (work.accums)
                 obs::setCurrentStageAccum(nullptr);
@@ -978,8 +1018,9 @@ SearchService::matchCascade(BatchWork &work)
                 if (work.accums)
                     obs::setCurrentStageAccum(&work.accums[q]);
                 uint32_t c = work.lists[q][i - work.offsets[q]];
-                work.scores[i] = model_->score(GraphPairView(
-                    work.snap->graph(c), work.live[q].query));
+                work.scores[i] = model_->score(
+                    GraphPairView(work.snap->graph(c), work.live[q].query),
+                    terms[q].get());
             }
             if (work.accums)
                 obs::setCurrentStageAccum(nullptr);
@@ -997,26 +1038,26 @@ SearchService::headCascade(BatchWork &work)
         work.snap->liveIds());
     for (size_t q = 0; q < num_queries; ++q) {
         QueryResult result;
-        // Unverified candidates stay NaN: "not scored". The NaN-aware
-        // topKHits comparator orders them strictly last, so the hit
-        // list ranks exactly the verified scores. Results are indexed
-        // by *position in the snapshot's live order* (== slot order),
-        // so the shortlist's slot numbers map through lower_bound on
-        // the ascending live-slot list.
+        // Unverified candidates stay NaN: "not scored". Results are
+        // indexed by *position in the snapshot's live order* (== slot
+        // order), so the shortlist's slot numbers map through
+        // lower_bound on the ascending live-slot list. Only the
+        // verified positions are ranked — the same hits `topKHits`
+        // would rank first over the whole NaN-padded vector.
         result.scores.assign(num_candidates,
                              std::numeric_limits<double>::quiet_NaN());
+        std::vector<SearchHit> verified(work.lists[q].size());
         for (size_t j = 0; j < work.lists[q].size(); ++j) {
             uint32_t c = work.lists[q][j];
             size_t pos = static_cast<size_t>(
                 std::lower_bound(work.slots.begin(), work.slots.end(),
                                  c) -
                 work.slots.begin());
-            result.scores[pos] = work.scores[work.offsets[q] + j];
+            verified[j] = SearchHit{static_cast<uint32_t>(pos),
+                                    work.scores[work.offsets[q] + j]};
+            result.scores[pos] = verified[j].score;
         }
-        result.topK = topKHits(result.scores, config_.topK);
-        while (!result.topK.empty() &&
-               std::isnan(result.topK.back().score))
-            result.topK.pop_back();
+        result.topK = topKScoredHits(std::move(verified), config_.topK);
         result.epoch = work.snap->epoch();
         result.ids = ids;
         metrics_.recordRetrieval(work.stages[q].corpus,

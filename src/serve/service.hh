@@ -290,6 +290,15 @@ std::vector<SearchHit> topKHits(const std::vector<double> &scores,
                                 uint32_t k);
 
 /**
+ * Best-k of a sparse score vector given as its scored (candidate,
+ * score) entries, in any order: exactly `topKHits` over the dense
+ * vector holding those scores and NaN everywhere else, with the NaN
+ * tail dropped. The cascade ranks its verified candidates with it.
+ */
+std::vector<SearchHit> topKScoredHits(std::vector<SearchHit> hits,
+                                      uint32_t k);
+
+/**
  * A graph-similarity search service over a fixed corpus. Construction
  * builds the model and starts the dispatcher; destruction (or
  * `shutdown()`) stops admission, drains every admitted request, and

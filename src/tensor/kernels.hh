@@ -16,6 +16,9 @@
  *    final <8 tail serially — in both implementations;
  *  - the elementwise kernels use the same expression tree per element
  *    (lane width cannot change the bits of independent elements);
+ *  - `gemmPanels` exists at the AVX2 level only; each of its cells
+ *    evaluates the `quadAxpy` / `axpy` expressions `matmul`'s row loop
+ *    would, with the row loop's zero skips as per-lane selects;
  *  - no implementation uses FMA contraction (the kernel TUs compile
  *    with -ffp-contract=off, and the AVX2 TU enables -mavx2 only).
  *
@@ -46,6 +49,10 @@
 
 namespace cegma {
 
+/** Rows per `gemmPanels` panel, and the widest output it takes. */
+constexpr size_t kGemmPanelRows = 8;
+constexpr size_t kGemmPanelMaxCols = 16;
+
 /** One SimdLevel's implementations of the inner kernels. */
 struct TensorKernels
 {
@@ -70,6 +77,19 @@ struct TensorKernels
 
     /** GEMM k-tail update: c[j] += a * b[j]. */
     void (*axpy)(float *c, float a, const float *b, size_t n);
+
+    /**
+     * Narrow-output GEMM panels: C = A * B for `panels` consecutive
+     * 8-row panels of A (stride k) and a freshly zeroed C (stride n),
+     * n <= 16, with every cell running exactly the `quadAxpy` / `axpy`
+     * sequence of `matmul`'s row loop over all of k, its zero-quad and
+     * zero-tail skips included (as a per-lane select, so a skipped
+     * update leaves the cell's bits untouched even where multiplying
+     * would give NaN). Null at the scalar level, whose row loop is the
+     * oracle.
+     */
+    void (*gemmPanels)(const float *a, size_t k, const float *b,
+                       size_t n, float *c, size_t panels);
 
     /** Cosine normalization: s[j] *= inv_x * inv_y[j]. */
     void (*cosineScaleRow)(float *s, float inv_x, const float *inv_y,

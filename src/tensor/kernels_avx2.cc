@@ -126,6 +126,115 @@ axpyAvx2(float *c, float a, const float *b, size_t n)
         c[j] += a * b[j];
 }
 
+/** Lanes r = 0..7 hold A[r][kk .. kk+3] of rows `k` floats apart,
+ *  one register per input: an 8x4 transpose of the panel's quad. */
+inline void
+loadQuad(const float *a, size_t k, __m256 &q0, __m256 &q1, __m256 &q2,
+         __m256 &q3)
+{
+    __m128 r0 = _mm_loadu_ps(a), r1 = _mm_loadu_ps(a + k);
+    __m128 r2 = _mm_loadu_ps(a + 2 * k), r3 = _mm_loadu_ps(a + 3 * k);
+    __m128 r4 = _mm_loadu_ps(a + 4 * k), r5 = _mm_loadu_ps(a + 5 * k);
+    __m128 r6 = _mm_loadu_ps(a + 6 * k), r7 = _mm_loadu_ps(a + 7 * k);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    _MM_TRANSPOSE4_PS(r4, r5, r6, r7);
+    q0 = _mm256_set_m128(r4, r0);
+    q1 = _mm256_set_m128(r5, r1);
+    q2 = _mm256_set_m128(r6, r2);
+    q3 = _mm256_set_m128(r7, r3);
+}
+
+/**
+ * NJ <= 8 output columns of one 8-row panel: a = &A[0][0] (row stride
+ * k), b = &B[0][j0] and c = &C[0][j0] (row stride n). Lane r is row
+ * r, so one instruction updates one column of all eight rows with the
+ * row loop's quadAxpy / axpy expression for that cell, starting from
+ * the +0 the row loop's fresh C holds. A lane whose quad (or tail
+ * value) is zero keeps its old value through the select, exactly as
+ * the row loop's skip leaves the cell alone — even where the product
+ * would be NaN (0 * inf). `_CMP_EQ_OQ` is false for NaN, like
+ * `== 0.0f`.
+ */
+template <size_t NJ>
+inline void
+panelColumns(const float *a, size_t k, const float *b, size_t n,
+             float *c)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    __m256 acc[NJ];
+    for (size_t j = 0; j < NJ; ++j)
+        acc[j] = zero;
+    size_t kk = 0;
+    for (; kk + 4 <= k; kk += 4) {
+        __m256 a0, a1, a2, a3;
+        loadQuad(a + kk, k, a0, a1, a2, a3);
+        const __m256 skip = _mm256_and_ps(
+            _mm256_and_ps(_mm256_cmp_ps(a0, zero, _CMP_EQ_OQ),
+                          _mm256_cmp_ps(a1, zero, _CMP_EQ_OQ)),
+            _mm256_and_ps(_mm256_cmp_ps(a2, zero, _CMP_EQ_OQ),
+                          _mm256_cmp_ps(a3, zero, _CMP_EQ_OQ)));
+        const float *b0 = b + kk * n;
+        const float *b1 = b0 + n;
+        const float *b2 = b1 + n;
+        const float *b3 = b2 + n;
+        for (size_t j = 0; j < NJ; ++j) {
+            __m256 t01 = _mm256_add_ps(
+                _mm256_mul_ps(a0, _mm256_broadcast_ss(b0 + j)),
+                _mm256_mul_ps(a1, _mm256_broadcast_ss(b1 + j)));
+            __m256 t23 = _mm256_add_ps(
+                _mm256_mul_ps(a2, _mm256_broadcast_ss(b2 + j)),
+                _mm256_mul_ps(a3, _mm256_broadcast_ss(b3 + j)));
+            acc[j] = _mm256_blendv_ps(
+                _mm256_add_ps(acc[j], _mm256_add_ps(t01, t23)), acc[j],
+                skip);
+        }
+    }
+    for (; kk < k; ++kk) {
+        const __m256 av = _mm256_set_ps(
+            a[7 * k + kk], a[6 * k + kk], a[5 * k + kk], a[4 * k + kk],
+            a[3 * k + kk], a[2 * k + kk], a[k + kk], a[kk]);
+        const __m256 skip = _mm256_cmp_ps(av, zero, _CMP_EQ_OQ);
+        const float *bk = b + kk * n;
+        for (size_t j = 0; j < NJ; ++j) {
+            acc[j] = _mm256_blendv_ps(
+                _mm256_add_ps(acc[j],
+                              _mm256_mul_ps(av, _mm256_broadcast_ss(bk + j))),
+                acc[j], skip);
+        }
+    }
+    alignas(32) float out[8 * NJ];
+    for (size_t j = 0; j < NJ; ++j)
+        _mm256_store_ps(out + 8 * j, acc[j]);
+    for (size_t r = 0; r < 8; ++r)
+        for (size_t j = 0; j < NJ; ++j)
+            c[r * n + j] = out[8 * j + r];
+}
+
+void
+gemmPanelsAvx2(const float *a, size_t k, const float *b, size_t n,
+               float *c, size_t panels)
+{
+    constexpr size_t kRows = kGemmPanelRows;
+    for (size_t p = 0; p < panels; ++p) {
+        const float *ap = a + p * kRows * k;
+        float *cp = c + p * kRows * n;
+        for (size_t j0 = 0; j0 < n; j0 += 8) {
+            const float *bj = b + j0;
+            float *cj = cp + j0;
+            switch (n - j0 < 8 ? n - j0 : 8) {
+              case 1: panelColumns<1>(ap, k, bj, n, cj); break;
+              case 2: panelColumns<2>(ap, k, bj, n, cj); break;
+              case 3: panelColumns<3>(ap, k, bj, n, cj); break;
+              case 4: panelColumns<4>(ap, k, bj, n, cj); break;
+              case 5: panelColumns<5>(ap, k, bj, n, cj); break;
+              case 6: panelColumns<6>(ap, k, bj, n, cj); break;
+              case 7: panelColumns<7>(ap, k, bj, n, cj); break;
+              default: panelColumns<8>(ap, k, bj, n, cj); break;
+            }
+        }
+    }
+}
+
 void
 cosineScaleRowAvx2(float *s, float inv_x, const float *inv_y, size_t n)
 {
@@ -162,8 +271,9 @@ euclidFinishRowAvx2(float *s, float sq_x, const float *sq_y, size_t n)
 } // namespace
 
 const TensorKernels kAvx2Kernels = {
-    dotAvx2,  ntRowAvx2,          quadAxpyAvx2,
-    axpyAvx2, cosineScaleRowAvx2, euclidFinishRowAvx2,
+    dotAvx2,  ntRowAvx2,      quadAxpyAvx2,
+    axpyAvx2, gemmPanelsAvx2, cosineScaleRowAvx2,
+    euclidFinishRowAvx2,
 };
 
 } // namespace cegma

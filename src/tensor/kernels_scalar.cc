@@ -106,8 +106,9 @@ euclidFinishRowScalar(float *s, float sq_x, const float *sq_y, size_t n)
 } // namespace
 
 const TensorKernels kScalarKernels = {
-    dotScalar,        ntRowScalar,          quadAxpyScalar,
-    axpyScalar,       cosineScaleRowScalar, euclidFinishRowScalar,
+    dotScalar,  ntRowScalar,          quadAxpyScalar,
+    axpyScalar, nullptr,              cosineScaleRowScalar,
+    euclidFinishRowScalar,
 };
 
 const TensorKernels &

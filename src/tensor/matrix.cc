@@ -59,9 +59,11 @@ Matrix::fillXavier(Rng &rng)
 bool
 Matrix::equals(const Matrix &other) const
 {
+    // An empty matrix's storage may be null, which memcmp must not see.
     return rows_ == other.rows_ && cols_ == other.cols_ &&
-           std::memcmp(data_.data(), other.data_.data(),
-                       data_.size() * sizeof(float)) == 0;
+           (data_.empty() ||
+            std::memcmp(data_.data(), other.data_.data(),
+                        data_.size() * sizeof(float)) == 0);
 }
 
 bool
@@ -98,8 +100,19 @@ matmul(const Matrix &a, const Matrix &b)
     const float *bd = b.data();
     float *cd = c.data();
     const TensorKernels &kern = tensorKernels();
+    // Narrow outputs (the MLP heads' 16/8/4/1 columns) would cost one
+    // indirect quadAxpy call per 4 inputs of a row only a few lanes
+    // wide; the panel kernel instead vectorizes across 8 rows with
+    // every cell's operation sequence unchanged (kernels.hh).
+    const bool panels =
+        n <= kGemmPanelMaxCols && kern.gemmPanels != nullptr;
     size_t grain = grainForRows(m, 2 * k * n);
     parallelFor(0, m, grain, [=](size_t r0, size_t r1) {
+        if (panels) {
+            const size_t count = (r1 - r0) / kGemmPanelRows;
+            kern.gemmPanels(ad + r0 * k, k, bd, n, cd + r0 * n, count);
+            r0 += count * kGemmPanelRows;
+        }
         // ikj order inside each k-block: streams B rows (cache
         // friendly for row-major data) while the KC-row B panel stays
         // hot across the chunk's A rows. Four B rows per pass over the

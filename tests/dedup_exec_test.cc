@@ -14,10 +14,12 @@
 #include "accel/runner.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "emf/emf.hh"
 #include "gmn/memo.hh"
 #include "gmn/model.hh"
 #include "gmn/similarity.hh"
+#include "graph/dataset.hh"
 #include "graph/generators.hh"
 #include "nn/mgnn.hh"
 
@@ -255,6 +257,204 @@ TEST_F(DedupExecTest, SimGnnForwardBitIdenticalAllThreads)
     for (uint32_t threads : kThreadCounts) {
         ThreadPool::instance().setThreads(threads);
         expectForwardBitIdentical(ModelId::SimGnn, pair);
+    }
+}
+
+// ---- SimGNN's exact path: per-query terms, score-only forward ------
+
+class SimGnnExactPath : public ::testing::Test
+{
+  protected:
+    void TearDown() override
+    {
+        ThreadPool::instance().setThreads(1);
+        setSimdLevel(cpuSupportsAvx2() ? SimdLevel::Avx2
+                                       : SimdLevel::Scalar);
+    }
+};
+
+/** The served dataset shapes (AIDS, BIN-CFG, RD-B at its 430-node
+ *  mean) plus the degenerate graphs: no nodes, one node, no edges. */
+std::vector<Graph>
+exactPathGraphs()
+{
+    Rng rng(41);
+    std::vector<Graph> graphs;
+    graphs.push_back(makeDatasetGraph(DatasetId::AIDS, 16, rng));
+    graphs.push_back(makeDatasetGraph(DatasetId::BIN_CFG, 40, rng));
+    graphs.push_back(makeDatasetGraph(DatasetId::RD_B, 430, rng));
+    graphs.push_back(Graph::fromEdges(0, {}));
+    graphs.push_back(Graph::fromEdges(1, {}, {3}));
+    graphs.push_back(Graph::fromEdges(9, {}, {0, 1, 2, 0, 1, 2, 0, 1, 2}));
+    return graphs;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * `score(pair, queryTerms(query))` and `score(pair)` both equal a
+ * serial, scalar, no-memo model's `forwardDetailed(pair).score`, bit
+ * for bit, over dedup x memo (off, on, and a budget that admits
+ * almost nothing) x threads x SIMD level. Each query's terms are
+ * built once and read by every pool worker.
+ */
+TEST_F(SimGnnExactPath, TermsScoreMatchesNoMemoForwardAcrossTheGrid)
+{
+    const std::vector<Graph> graphs = exactPathGraphs();
+    // (target, query) over every input pair but the RD-B graph
+    // against itself, whose 430 x 430 matrix would dominate the
+    // sanitizer tiers without reaching any other code.
+    std::vector<std::pair<size_t, size_t>> pairs;
+    for (size_t q = 0; q < graphs.size(); ++q) {
+        for (size_t t = 0; t < graphs.size(); ++t) {
+            if (t != q || graphs[t].numNodes() < 400)
+                pairs.emplace_back(t, q);
+        }
+    }
+    const size_t n = pairs.size();
+    auto view = [&](size_t i) {
+        return GraphPairView(graphs[pairs[i].first],
+                             graphs[pairs[i].second]);
+    };
+    ThreadPool::instance().setThreads(1);
+    setSimdLevel(SimdLevel::Scalar);
+    std::unique_ptr<GmnModel> plain = makeModel(ModelId::SimGnn, 77);
+    std::vector<double> ref(n);
+    for (size_t i = 0; i < n; ++i)
+        ref[i] = plain->forwardDetailed(view(i)).score;
+
+    std::vector<SimdLevel> levels = {SimdLevel::Scalar};
+    if (cpuSupportsAvx2())
+        levels.push_back(SimdLevel::Avx2);
+    enum class Memo { Off, On, Starved };
+    for (SimdLevel level : levels) {
+        for (uint32_t threads : kThreadCounts) {
+            for (bool dedup : {false, true}) {
+                for (Memo mode : {Memo::Off, Memo::On, Memo::Starved}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << simdLevelName(level) << " threads="
+                                 << threads << " dedup=" << dedup
+                                 << " memo=" << static_cast<int>(mode));
+                    setSimdLevel(level);
+                    ThreadPool::instance().setThreads(threads);
+                    std::unique_ptr<GmnModel> model =
+                        makeModel(ModelId::SimGnn, 77);
+                    MemoCache memo(mode == Memo::Starved
+                                       ? MemoConfig{1024, 1}
+                                       : MemoConfig{});
+                    InferenceOptions opts;
+                    opts.dedupMatching = dedup;
+                    opts.memo = mode == Memo::Off ? nullptr : &memo;
+                    model->setInferenceOptions(opts);
+
+                    std::vector<std::shared_ptr<const QueryTerms>> terms;
+                    for (const Graph &q : graphs) {
+                        terms.push_back(model->queryTerms(q));
+                        ASSERT_NE(terms.back(), nullptr);
+                    }
+                    std::vector<double> with(n), bare(n);
+                    parallelFor(0, n, 1, [&](size_t i0, size_t i1) {
+                        for (size_t i = i0; i < i1; ++i) {
+                            const QueryTerms *qt =
+                                terms[pairs[i].second].get();
+                            with[i] = model->score(view(i), qt);
+                            bare[i] = model->score(view(i));
+                        }
+                    });
+                    for (size_t i = 0; i < n; ++i) {
+                        EXPECT_TRUE(sameBits(with[i], ref[i]))
+                            << "pair " << i << ": " << with[i]
+                            << " vs " << ref[i];
+                        EXPECT_TRUE(sameBits(bare[i], ref[i]))
+                            << "pair " << i;
+                    }
+                    if (mode == Memo::Starved) {
+                        EXPECT_LE(memo.bytes(), 1024u);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** The score-only path must not cost `forwardDetailed` anything: a
+ *  memoized model still returns every layer and the similarity
+ *  matrix, equal to a no-memo model's. */
+TEST_F(SimGnnExactPath, DetailedForwardKeepsEveryIntermediate)
+{
+    const std::vector<Graph> graphs = exactPathGraphs();
+    std::unique_ptr<GmnModel> plain = makeModel(ModelId::SimGnn, 78);
+    std::unique_ptr<GmnModel> model = makeModel(ModelId::SimGnn, 78);
+    MemoCache memo;
+    InferenceOptions opts;
+    opts.dedupMatching = true;
+    opts.memo = &memo;
+    model->setInferenceOptions(opts);
+    const size_t levels = modelConfig(ModelId::SimGnn).numLayers + 1;
+    for (const Graph &q : graphs) {
+        std::shared_ptr<const QueryTerms> terms = model->queryTerms(q);
+        for (const Graph &t : graphs) {
+            GraphPairView pair(t, q);
+            (void)model->score(pair, terms.get()); // warm the memo
+            GmnModel::Detail want = plain->forwardDetailed(pair);
+            GmnModel::Detail got = model->forwardDetailed(pair);
+            ASSERT_EQ(got.xLayers.size(), levels);
+            ASSERT_EQ(got.yLayers.size(), levels);
+            ASSERT_EQ(got.simLayers.size(), 1u);
+            for (size_t l = 0; l < levels; ++l) {
+                EXPECT_TRUE(got.xLayers[l].equals(want.xLayers[l]));
+                EXPECT_TRUE(got.yLayers[l].equals(want.yLayers[l]));
+            }
+            EXPECT_TRUE(got.simLayers[0].equals(want.simLayers[0]));
+            EXPECT_TRUE(sameBits(got.score, want.score));
+        }
+    }
+}
+
+/** GMN-Li and GraphSim keep no per-query terms; null terms leave
+ *  their scores exactly what the full forward gives. */
+TEST_F(SimGnnExactPath, OtherModelsHaveNoTerms)
+{
+    Rng rng(43);
+    Graph a = makeDatasetGraph(DatasetId::AIDS, 16, rng);
+    Graph b = makeDatasetGraph(DatasetId::AIDS, 14, rng);
+    for (ModelId id : {ModelId::GmnLi, ModelId::GraphSim}) {
+        SCOPED_TRACE(modelConfig(id).name);
+        std::unique_ptr<GmnModel> model = makeModel(id, 9);
+        std::unique_ptr<GmnModel> fresh = makeModel(id, 9);
+        EXPECT_EQ(model->queryTerms(b), nullptr);
+        GraphPairView pair(a, b);
+        const double ref = fresh->forwardDetailed(pair).score;
+        EXPECT_TRUE(sameBits(model->score(pair, nullptr), ref));
+        EXPECT_TRUE(sameBits(model->score(pair), ref));
+    }
+}
+
+/** SimGNN's memo entry carries hx: counted by graphEmbeddingBytes,
+ *  and the coarse descriptor's first half is those very floats. */
+TEST_F(SimGnnExactPath, EmbeddingStoresProjection)
+{
+    std::unique_ptr<GmnModel> model = makeModel(ModelId::SimGnn, 79);
+    std::unique_ptr<GmnModel> graphsim = makeModel(ModelId::GraphSim, 79);
+    std::vector<float> desc(model->coarseDim());
+    for (const Graph &g : exactPathGraphs()) {
+        std::shared_ptr<const GraphEmbedding> e = model->graphEmbedding(g);
+        ASSERT_NE(e, nullptr);
+        ASSERT_EQ(e->projection.rows(), 1u);
+        ASSERT_EQ(e->projection.cols(), 128u);
+        GraphEmbedding bare;
+        bare.layers = e->layers;
+        EXPECT_EQ(graphEmbeddingBytes(*e),
+                  graphEmbeddingBytes(bare) + 128 * sizeof(float));
+        model->coarseDescriptor(g, desc.data());
+        EXPECT_EQ(std::memcmp(desc.data(), e->projection.data(),
+                              128 * sizeof(float)),
+                  0);
+        EXPECT_EQ(graphsim->graphEmbedding(g)->projection.size(), 0u);
     }
 }
 

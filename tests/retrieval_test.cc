@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <numeric>
 #include <vector>
 
 #include "coarse_oracle.hh"
@@ -317,7 +318,7 @@ TEST(CoarseIndexBlocks, ShortlistsAndKeysMatchOracle)
             CoarseIndex index;
             index.build(prefix, *model, 1, 128);
             ASSERT_EQ(index.corpusSize(), n);
-            EXPECT_EQ(index.modelAware(), kc.modelAware && n > 0);
+            EXPECT_EQ(index.modelAware(), kc.modelAware);
             TagIndex tags;
             tags.build(prefix, 1);
 
@@ -447,6 +448,47 @@ TEST(RetrievalIndex, ModelAwareShortlistTracksExactRanking)
     }
 }
 
+/**
+ * Whether the coarse stage ranks with the model's own scorer is a
+ * property of the model, so a SimGNN index over zero or one graph is
+ * model-aware too. Within the shortlist budget every survivor comes
+ * back, and no scorer is built (building one embeds the query).
+ */
+TEST(RetrievalIndex, TinyCorporaAreModelAwareAndReturnEverySurvivor)
+{
+    CloneSearchCorpus corpus = makeCloneSearchCorpus(DatasetId::AIDS, 2, 1);
+    std::unique_ptr<GmnModel> model = makeModel(ModelId::SimGnn);
+    MemoCache memo;
+    InferenceOptions infer;
+    infer.memo = &memo;
+    model->setInferenceOptions(infer);
+    for (uint32_t n : {0u, 1u}) {
+        SCOPED_TRACE(testing::Message() << "corpus " << n);
+        std::vector<Graph> graphs(corpus.candidates.begin(),
+                                  corpus.candidates.begin() + n);
+        CoarseIndex coarse;
+        coarse.build(graphs, *model, 1, 128);
+        EXPECT_TRUE(coarse.modelAware());
+
+        RetrievalConfig config;
+        config.mode = RetrievalMode::Cascade;
+        config.shortlist = 16;
+        RetrievalIndex index;
+        index.build(graphs, *model, config);
+        EXPECT_TRUE(index.coarse().modelAware());
+        std::vector<uint32_t> everyone(n);
+        std::iota(everyone.begin(), everyone.end(), 0u);
+        for (const Graph &query : corpus.queries) {
+            const size_t lookups = memo.embeddingLookups();
+            RetrievalStages stages;
+            EXPECT_EQ(index.shortlist(query, *model, &stages), everyone);
+            EXPECT_EQ(stages.survivors, n);
+            EXPECT_EQ(stages.shortlisted, n);
+            EXPECT_EQ(memo.embeddingLookups(), lookups);
+        }
+    }
+}
+
 // ---- Cascade SearchService ------------------------------------------
 
 /** All per-candidate score vectors of `service`, query-major. */
@@ -480,6 +522,21 @@ TEST(CascadeService, VerifiedScoresBitIdenticalToExhaustive)
     std::vector<std::vector<double>> reference =
         serviceScores(oracle, corpus.queries);
     oracle.shutdown();
+
+    // Both services score with per-query terms, so the exhaustive one
+    // is checked against a serial model with no memo, no dedup and no
+    // terms first.
+    std::unique_ptr<GmnModel> plain =
+        makeModel(exhaustive.model, exhaustive.modelSeed);
+    for (uint32_t q = 0; q < kQueries; ++q) {
+        ASSERT_EQ(reference[q].size(), kCandidates);
+        for (uint32_t c = 0; c < kCandidates; ++c) {
+            const double want = plain->forwardDetailed(GraphPairView(
+                corpus.candidates[c], corpus.queries[q])).score;
+            EXPECT_EQ(std::memcmp(&reference[q][c], &want, sizeof want), 0)
+                << "q=" << q << " c=" << c;
+        }
+    }
 
     for (uint32_t threads : {1u, 2u, 8u}) {
         for (uint32_t batch : {1u, 4u}) {

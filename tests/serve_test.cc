@@ -37,10 +37,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -53,6 +55,7 @@
 
 #include "accel/runner.hh"
 #include "common/parallel.hh"
+#include "common/rng.hh"
 #include "common/sharded_lru.hh"
 #include "gmn/memo.hh"
 #include "graph/dataset.hh"
@@ -1012,6 +1015,52 @@ TEST(TopKHits, ManyNansDoNotCorruptPartialSort)
     ASSERT_EQ(all_nan.size(), 3u);
     for (uint32_t i = 0; i < 3; ++i)
         EXPECT_EQ(all_nan[i].candidate, i);
+}
+
+/**
+ * The cascade ranks its verified (position, score) pairs alone. That
+ * must be exactly `topKHits` over the corpus-sized vector with NaN in
+ * every unverified slot, minus the NaN tail: equal scores break toward
+ * the lower position, a verified NaN drops out, and k may exceed the
+ * verified count. Hits arrive in shortlist order, not position order.
+ */
+TEST(TopKHits, ScoredHitsRankLikeTheDenseVector)
+{
+    Rng rng(7);
+    const double ladder[] = {0.25, 0.5, 0.5, 0.75, kNaN, -0.0, 0.0};
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t corpus = 1 + rng.nextBounded(300);
+        const size_t verified = rng.nextBounded(corpus + 1);
+        std::vector<uint32_t> positions(corpus);
+        std::iota(positions.begin(), positions.end(), 0u);
+        for (size_t i = corpus; i > 1; --i)
+            std::swap(positions[i - 1], positions[rng.nextBounded(i)]);
+        positions.resize(verified);
+
+        std::vector<double> dense(corpus, kNaN);
+        std::vector<SearchHit> hits;
+        for (uint32_t pos : positions) {
+            // Few distinct values, so most ranks are decided by ties.
+            const double score = ladder[rng.nextBounded(7)];
+            dense[pos] = score;
+            hits.push_back(SearchHit{pos, score});
+        }
+        for (uint32_t k : {0u, 1u, 10u, 64u, 1000u}) {
+            std::vector<SearchHit> want = topKHits(dense, k);
+            while (!want.empty() && std::isnan(want.back().score))
+                want.pop_back();
+            std::vector<SearchHit> got = topKScoredHits(hits, k);
+            ASSERT_EQ(got.size(), want.size())
+                << "trial " << trial << " k=" << k;
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].candidate, want[i].candidate)
+                    << "trial " << trial << " k=" << k << " rank " << i;
+                EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score,
+                                      sizeof(double)),
+                          0);
+            }
+        }
+    }
 }
 
 // ---- Overload robustness (deadlines / shedding / faults / drain) ----

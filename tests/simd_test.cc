@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -183,6 +184,91 @@ TEST_F(SimdTest, GemmBitExactAcrossLevelsAndThreads)
                     << sh.n << "x" << sh.m << "x" << sh.f
                     << " level=" << simdLevelName(level)
                     << " threads=" << threads;
+            }
+        }
+    }
+}
+
+/**
+ * Narrow-output GEMM inputs that exercise the panel kernel's select:
+ * rows whose first quad, tail or whole row is zero (mixed signs), a
+ * row with one zero in its first quad only, NaN in A, and +/-inf in
+ * the B rows the zero quads and tails multiply.
+ */
+void
+fillNarrowGemmInputs(Matrix &a, Matrix &b, Rng &rng)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    a.fillXavier(rng);
+    b.fillXavier(rng);
+    const size_t k = a.cols();
+    for (size_t i = 0; i < a.rows(); ++i) {
+        float *row = a.row(i);
+        switch (i % 5) {
+          case 0: // first quad and k-tail zero
+            for (size_t kk = 0; kk < std::min<size_t>(4, k); ++kk)
+                row[kk] = kk % 2 != 0 ? -0.0f : 0.0f;
+            for (size_t kk = k / 4 * 4; kk < k; ++kk)
+                row[kk] = -0.0f;
+            break;
+          case 1: // every input zero
+            for (size_t kk = 0; kk < k; ++kk)
+                row[kk] = (kk + i) % 2 != 0 ? -0.0f : 0.0f;
+            break;
+          case 2:
+            row[i % k] = nan;
+            break;
+          case 3: // a zero in the first quad only
+            row[0] = -0.0f;
+            break;
+          default:
+            break;
+        }
+    }
+    for (size_t j = 0; j < b.cols(); j += 3) {
+        b.at(0, j) = j % 2 != 0 ? inf : -inf;
+        b.at(b.rows() - 1, j) = j % 2 != 0 ? -inf : inf;
+    }
+}
+
+/**
+ * Outputs at most kGemmPanelMaxCols wide take the 8-row panel kernel
+ * under AVX2 (whole panels of each chunk; leftover rows keep the row
+ * loop). Every cell must equal the scalar row loop's: zero quads and
+ * zero tails skipped (an inf in B under them never turns the cell
+ * NaN), NaN in A propagated, signed zeros kept.
+ */
+TEST_F(SimdTest, NarrowGemmBitExactAcrossLevelsAndThreads)
+{
+    Rng rng(108);
+    const size_t ms[] = {0, 1, 7, 8, 9, 512, 513};
+    const size_t ks[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64};
+    for (size_t m : ms) {
+        for (size_t k : ks) {
+            for (size_t n = 1; n <= kGemmPanelMaxCols + 1; ++n) {
+                Matrix a(m, k), b(k, n);
+                fillNarrowGemmInputs(a, b, rng);
+
+                ThreadPool::instance().setThreads(1);
+                setSimdLevel(SimdLevel::Scalar);
+                const Matrix ref = matmul(a, b);
+                for (size_t i = 1; i < m; i += 5) { // all-zero rows
+                    for (size_t j = 0; j < n; ++j)
+                        ASSERT_TRUE(bitEqual(ref.at(i, j), 0.0f));
+                }
+
+                for (uint32_t threads : kThreadCounts) {
+                    ThreadPool::instance().setThreads(threads);
+                    for (SimdLevel level :
+                         {SimdLevel::Scalar, SimdLevel::Avx2}) {
+                        setSimdLevel(level);
+                        EXPECT_TRUE(matricesBitOrNanEqual(matmul(a, b), ref))
+                            << m << "x" << k << "x" << n
+                            << " level=" << simdLevelName(level)
+                            << " threads=" << threads;
+                    }
+                }
             }
         }
     }
