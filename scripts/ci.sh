@@ -47,6 +47,19 @@ echo "== tier-1: retrieval recall gate (10^4 corpus) =="
 CEGMA_RETRIEVAL_CI_CANDIDATES=10000 ./build/tests/retrieval_test \
     --gtest_filter='RetrievalGate.*'
 
+# Retrieval sweep smoke: `bench_to_json --retrieval` on a CI-sized
+# corpus must exit 0 with its 9 records (one exhaustive, eight
+# cascade configs). The sweep calls fatal() on any verified score that
+# differs from its exhaustive pass, so a bit-identity slip in the live
+# corpus's shortlist path fails this step.
+echo "== tier-1: retrieval sweep smoke =="
+./build/tools/bench_to_json --retrieval --queries 4 --candidates 2000 \
+    --out - | python3 -c '
+import json, sys
+records = json.load(sys.stdin)
+sys.exit(0 if len(records) == 9 else "retrieval sweep: %d records, want 9" % len(records))
+'
+
 # Live-corpus mutation gate: a seeded interleaved mutation+query
 # workload at 8 pool threads must return, for every request, the
 # pinned epoch's exact candidate list and scores bit-identical to a
@@ -131,13 +144,13 @@ CEGMA_THREADS=8 ctest --test-dir build-tsan -R simd_test \
 # workloads race the mutator thread against the dispatcher's scoring
 # batches — the epoch consistency contract is only meaningful if
 # those paths are race-free. The block-path suites run the chunked
-# and static coarse scans pool-parallel against the per-candidate
-# oracle.
+# coarse scan and the block scorers pool-parallel against the
+# per-candidate oracle.
 echo "== tsan: live-corpus gate (CEGMA_THREADS=8) =="
 CEGMA_THREADS=8 ./build-tsan/tests/corpus_test \
     --gtest_filter='LiveGate.*:LiveCorpusStorm.*:LiveCorpusBlocks.*:LiveCorpusBlockStorm.*'
 CEGMA_THREADS=8 ./build-tsan/tests/retrieval_test \
-    --gtest_filter='CoarseBlockKeys.*:CoarseIndexBlocks.*'
+    --gtest_filter='CoarseBlockKeys.*'
 
 # SimGNN's exact path under TSan: each query's terms are built once
 # and then read by every pool worker scoring that query's pairs, over
@@ -183,7 +196,7 @@ echo "== asan: live-corpus gate =="
 ./build-asan/tests/corpus_test \
     --gtest_filter='LiveGate.*:LiveCorpusStorm.*:LiveCorpusBlocks.*:LiveCorpusBlockStorm.*'
 ./build-asan/tests/retrieval_test \
-    --gtest_filter='CoarseBlockKeys.*:CoarseIndexBlocks.*'
+    --gtest_filter='CoarseBlockKeys.*'
 
 # SimGNN's exact path under ASan+UBSan: the shared query terms hold
 # the query's memo entry alive while the starved-budget grid evicts

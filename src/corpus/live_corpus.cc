@@ -14,7 +14,6 @@
 #include "gmn/model.hh"
 #include "obs/trace.hh"
 #include "retrieval/coarse.hh"
-#include "retrieval/tag_index.hh"
 #include "tensor/matrix.hh"
 
 namespace cegma {
@@ -635,8 +634,9 @@ std::vector<uint32_t>
 LiveCorpus::survivorsLocked(const CorpusSnapshot &snap,
                             const std::vector<uint64_t> &tags) const
 {
-    // Mirrors TagIndex::survivors, with the snapshot's visibility
-    // check standing in for "is in the corpus": tombstoned and
+    // Stage 1: count each slot's shared tags along the posting lists
+    // of the query's tags; the snapshot's visibility check is what
+    // makes a slot part of the corpus, so tombstoned and
     // not-yet-published slots fall out here, which is why removals
     // cost nothing at mutation time.
     double min_overlap = retrieval_.tagPrune;

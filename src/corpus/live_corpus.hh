@@ -33,6 +33,11 @@
  *     everything compaction touches is invisible to every possible
  *     snapshot, compaction timing can never change a query result.
  *
+ * The corpus is also the program's only retrieval index: it keeps the
+ * cascade's stage-1 WL-tag postings and stage-2 descriptor blocks
+ * (retrieval/retrieval.hh) next to the slots they describe, and a
+ * fixed corpus is just one that is bootstrapped and never mutated.
+ *
  * Index maintenance is incremental: inserts extend the WL-tag posting
  * lists and store a per-graph coarse descriptor computed at insert
  * into the chunk's block (the descriptor callback runs the model's

@@ -11,8 +11,11 @@ namespace cegma {
 Matrix
 bilinearResize(const Matrix &src, size_t out_h, size_t out_w)
 {
-    cegma_assert(src.rows() > 0 && src.cols() > 0);
+    // A pair with a 0-node side has an empty similarity matrix: resize
+    // it as the all-zero matrix it stands for.
     Matrix out(out_h, out_w);
+    if (src.rows() == 0 || src.cols() == 0)
+        return out;
     const double sy = static_cast<double>(src.rows()) / out_h;
     const double sx = static_cast<double>(src.cols()) / out_w;
     for (size_t r = 0; r < out_h; ++r) {

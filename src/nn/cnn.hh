@@ -37,7 +37,10 @@ struct Volume
     }
 };
 
-/** Bilinearly resize a matrix to (out_h x out_w). */
+/**
+ * Bilinearly resize a matrix to (out_h x out_w). A source with no rows
+ * or no columns resizes to all zeros.
+ */
 Matrix bilinearResize(const Matrix &src, size_t out_h, size_t out_w);
 
 /** A 3x3 same-padded conv layer with ReLU. */

@@ -5,13 +5,22 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "gmn/memo.hh"
 #include "gmn/model.hh"
 #include "graph/wl_refine.hh"
-#include "obs/trace.hh"
 
 namespace cegma {
+
+std::vector<uint64_t>
+wlTagSet(const Graph &g, unsigned level)
+{
+    WlColoring wl = wlRefine(g, level);
+    const std::vector<uint64_t> &sigs = wl.signatures.back();
+    std::vector<uint64_t> tags(sigs.begin(), sigs.end());
+    std::sort(tags.begin(), tags.end());
+    tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
+    return tags;
+}
 
 std::vector<float>
 wlSketch(const Graph &g, unsigned level, unsigned dim)
@@ -53,72 +62,6 @@ coarseVector(const Graph &g, const GmnModel &model, unsigned sketch_level,
                    pooled.data() + pooled.size());
     }
     return out;
-}
-
-void
-CoarseIndex::build(const std::vector<Graph> &corpus, const GmnModel &model,
-                   unsigned sketch_level, unsigned sketch_dim)
-{
-    CEGMA_TRACE_SCOPE_CAT("coarseIndex.build", "retrieval");
-    // A property of the model, not of the corpus: an empty index
-    // still ranks with the model's scorer once graphs arrive.
-    modelAware_ = model.coarseDim() > 0;
-    if (corpus.empty()) {
-        vectors_ = Matrix();
-        norms_ = Matrix();
-        return;
-    }
-    if (modelAware_) {
-        // The model decomposes its head per graph: store its own
-        // descriptors and let its scorer rank them. The
-        // descriptors go through the memo like the generic chain path.
-        vectors_ = Matrix(corpus.size(), model.coarseDim());
-        parallelFor(0, corpus.size(), 1, [&](size_t g0, size_t g1) {
-            for (size_t g = g0; g < g1; ++g)
-                model.coarseDescriptor(corpus[g], vectors_.row(g));
-        });
-        norms_ = Matrix();
-        return;
-    }
-    // The first vector fixes the dimension (a constant of the model /
-    // sketch config); the rest fill their rows in parallel.
-    std::vector<float> first =
-        coarseVector(corpus[0], model, sketch_level, sketch_dim);
-    vectors_ = Matrix(corpus.size(), first.size());
-    std::copy(first.begin(), first.end(), vectors_.row(0));
-    parallelFor(1, corpus.size(), 1, [&](size_t g0, size_t g1) {
-        for (size_t g = g0; g < g1; ++g) {
-            std::vector<float> v =
-                coarseVector(corpus[g], model, sketch_level, sketch_dim);
-            assert(v.size() == vectors_.cols());
-            std::copy(v.begin(), v.end(), vectors_.row(g));
-        }
-    });
-    norms_ = rowSquaredNorms(vectors_);
-}
-
-std::vector<uint32_t>
-CoarseIndex::shortlist(const CoarseScorer &scorer,
-                       const std::vector<uint32_t> &survivors,
-                       size_t shortlist_size) const
-{
-    if (shortlist_size == 0 || survivors.size() <= shortlist_size)
-        return survivors;
-    CEGMA_TRACE_SCOPE_CAT("retrieval.shortlist", "retrieval");
-
-    // The whole index is one block; survivors are keyed in fixed runs
-    // (one live-corpus chunk's worth), each run one scorer call
-    // writing its own key range.
-    constexpr size_t kRunRows = 512;
-    const CoarseBlock block{vectors_.data(),
-                            norms_.size() > 0 ? norms_.data() : nullptr,
-                            vectors_.cols()};
-    std::vector<float> keys(survivors.size());
-    parallelFor(0, survivors.size(), kRunRows, [&](size_t i0, size_t i1) {
-        scorer.keys(block, survivors.data() + i0, i1 - i0,
-                    keys.data() + i0);
-    });
-    return lowestKeyed(keys, survivors, shortlist_size);
 }
 
 void

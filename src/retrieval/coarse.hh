@@ -1,15 +1,28 @@
 /**
  * @file
- * Stage 2 of the retrieval cascade: a coarse shortlist over stored
- * per-graph descriptors, ranked block by block.
+ * The per-graph pieces of the retrieval cascade's two cheap stages;
+ * the index that stores them is the live corpus
+ * (corpus/live_corpus.hh).
  *
- * The memo pipeline already produces each graph's layer-embedding
- * chain once (gmn/memo.hh); pooling every layer's node features to a
- * mean vector and concatenating gives a compact per-graph vector —
- * (numLayers + 1) x nodeDim floats instead of the full chain's
- * numNodes x that — whose L2 distance tracks the exact GMN score well
- * enough to rank a shortlist (`L2CoarseScorer`: key = ||c||^2 - 2 q.c,
- * the constant ||q||^2 dropped).
+ * Stage 1 keys on WL tag sets. `wlRefine` produces *cross-graph
+ * canonical* 64-bit signatures: equal signatures mean isomorphic
+ * depth-l neighborhoods even for nodes in different graphs
+ * (graph/wl_refine.hh). A graph's level-l *tag set* — its distinct
+ * depth-l signatures — is therefore a cheap structural sketch, and
+ * tag-set overlap is a lower-bound style filter for clone search: a
+ * query that perturbs k edges of a corpus graph disturbs only the
+ * l-hop neighborhoods of the touched endpoints, so the clone keeps
+ * almost all of the query's tags while unrelated graphs share few.
+ * Tags depend only on graph structure and labels, never on a model.
+ *
+ * Stage 2 ranks the survivors over stored per-graph descriptors,
+ * block by block. The memo pipeline already produces each graph's
+ * layer-embedding chain once (gmn/memo.hh); pooling every layer's node
+ * features to a mean vector and concatenating gives a compact
+ * per-graph vector — (numLayers + 1) x nodeDim floats instead of the
+ * full chain's numNodes x that — whose L2 distance tracks the exact
+ * GMN score well enough to rank a shortlist (`L2CoarseScorer`: key =
+ * ||c||^2 - 2 q.c, the constant ||q||^2 dropped).
  *
  * When the model decomposes its exact head per graph
  * (`GmnModel::coarseDim() > 0`, e.g.\ SimGNN's NTN over projected
@@ -27,11 +40,11 @@
  * space. The sketch is content-keyed, so it never needs the model.
  *
  * Both key kinds run through one scan: descriptors sit in contiguous
- * row-major blocks (here one corpus-wide matrix, in the live corpus
- * one block per 512-slot chunk), each block's listed survivor rows go
- * to one `CoarseScorer::keys` call, and `lowestKeyed` selects on
- * (key, id). Keys are per-row functions, so the selected set never
- * depends on the block grouping or the thread count.
+ * row-major blocks (one per 512-slot corpus chunk), each block's
+ * listed survivor rows go to one `CoarseScorer::keys` call, and
+ * `lowestKeyed` selects on (key, slot). Keys are per-row functions, so
+ * the selected set never depends on the block grouping or the thread
+ * count.
  */
 
 #ifndef CEGMA_RETRIEVAL_COARSE_HH
@@ -47,6 +60,9 @@
 #include "tensor/matrix.hh"
 
 namespace cegma {
+
+/** The distinct level-`level` WL signatures of `g`, sorted. */
+std::vector<uint64_t> wlTagSet(const Graph &g, unsigned level);
 
 /**
  * Model-free WL feature sketch of `g`: signatures at every level up to
@@ -104,51 +120,6 @@ makeCoarseScorer(const Graph &query, const GmnModel &model,
 std::vector<uint32_t> lowestKeyed(const std::vector<float> &keys,
                                   const std::vector<uint32_t> &ids,
                                   size_t budget);
-
-/**
- * The corpus-side store of coarse vectors plus the shortlist kernel.
- * Built once at corpus load; immutable and thread-safe afterwards.
- */
-class CoarseIndex
-{
-  public:
-    /** Compute and store one vector per corpus graph (parallel). */
-    void build(const std::vector<Graph> &corpus, const GmnModel &model,
-               unsigned sketch_level, unsigned sketch_dim);
-
-    /**
-     * The `shortlist_size` survivors with the lowest `scorer` keys over
-     * their stored rows, ascending by corpus id; ties break toward the
-     * lower id, so the selected set is a deterministic function of the
-     * vectors alone (thread-count independent). `shortlist_size` = 0
-     * means unlimited: all survivors pass through. Rows are keyed in
-     * runs of 512 survivors, one scorer call each.
-     */
-    std::vector<uint32_t>
-    shortlist(const CoarseScorer &scorer,
-              const std::vector<uint32_t> &survivors,
-              size_t shortlist_size) const;
-
-    /**
-     * True when the rows are model coarse descriptors (the model
-     * provides `coarseDim() > 0`) rather than generic pooled-chain /
-     * sketch vectors; rank with the model's scorer then.
-     */
-    bool modelAware() const { return modelAware_; }
-
-    size_t corpusSize() const { return vectors_.rows(); }
-    size_t dim() const { return vectors_.cols(); }
-    size_t bytes() const
-    {
-        return (vectors_.size() + norms_.size()) * sizeof(float);
-    }
-
-  private:
-    Matrix vectors_; ///< corpusSize x dim, row g = coarse vector of g
-    Matrix norms_;   ///< corpusSize x 1, squared L2 norm of each row
-                     ///< (`rowSquaredNorms`); empty when model-aware
-    bool modelAware_ = false;
-};
 
 } // namespace cegma
 

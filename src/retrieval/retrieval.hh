@@ -4,39 +4,35 @@
  * verify, following the Neural Subgraph Matching decomposition.
  *
  * Serving a query against an N-graph corpus exhaustively costs N exact
- * GMN scores. The cascade spends two cheap stages first:
+ * GMN scores. The cascade spends two cheap stages first, both run by
+ * the live corpus (`LiveCorpus::shortlist`, corpus/live_corpus.hh)
+ * over the per-graph keys of retrieval/coarse.hh:
  *
- *   1. *Tag filter* (tag_index.hh): an inverted index over canonical
- *      WL signatures prunes candidates whose tag overlap with the
- *      query falls below a threshold.
- *   2. *Coarse shortlist* (coarse.hh): survivors are ranked by the
- *      model's own query-conditioned coarse scorer over stored
- *      per-graph descriptors when the model decomposes its head
- *      (SimGNN), else by squared L2 distance between pooled per-graph
- *      embedding chains (or a WL sketch for cross-feedback models),
- *      and cut to the top C.
+ *   1. *Tag filter*: inverted posting lists over canonical WL
+ *      signatures prune candidates whose tag overlap with the query
+ *      falls below a threshold.
+ *   2. *Coarse shortlist*: survivors are ranked by the model's own
+ *      query-conditioned coarse scorer over stored per-graph
+ *      descriptors when the model decomposes its head (SimGNN), else
+ *      by squared L2 distance between pooled per-graph embedding
+ *      chains (or a WL sketch for cross-feedback models), and cut to
+ *      the top C.
  *
  * Only the shortlist reaches the exact GMN — and those scores are
  * bit-identical to what exhaustive mode produces for the same pairs,
  * because the cascade changes *which* pairs are scored, never *how*.
- * Exhaustive mode therefore stays the oracle: cascade trades recall
- * (a true top-k hit pruned early is gone) for a per-query cost that
+ * Exhaustive mode is the same path with every visible slot as the
+ * candidate list, so it stays the oracle: cascade trades recall (a
+ * true top-k hit pruned early is gone) for a per-query cost that
  * scales with the shortlist, not the corpus.
  */
 
 #ifndef CEGMA_RETRIEVAL_RETRIEVAL_HH
 #define CEGMA_RETRIEVAL_RETRIEVAL_HH
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "retrieval/coarse.hh"
-#include "retrieval/tag_index.hh"
+#include <cstddef>
 
 namespace cegma {
-
-class GmnModel;
 
 /** Candidate selection policy of a `SearchService`. */
 enum class RetrievalMode
@@ -84,54 +80,6 @@ struct RetrievalStages
     size_t corpus = 0;     ///< candidates entering the cascade
     size_t survivors = 0;  ///< after the tag filter
     size_t shortlisted = 0; ///< after the coarse stage = exact scores run
-};
-
-/**
- * Both corpus-side structures of the cascade, built once at corpus
- * load. Content-keyed where possible: the tag index depends only on
- * the graphs, the coarse vectors additionally on the model's weights
- * (or only the graphs, for the sketch fallback). Immutable and
- * thread-safe after `build`.
- */
-class RetrievalIndex
-{
-  public:
-    /** Build both stages over `corpus` for `model`. */
-    void build(const std::vector<Graph> &corpus, const GmnModel &model,
-               const RetrievalConfig &config);
-
-    /**
-     * Run stages 1–2 for `query`: the candidate ids the exact stage
-     * must score, ascending. `stages` (optional) receives the
-     * per-stage sizes.
-     */
-    std::vector<uint32_t> shortlist(const Graph &query,
-                                    const GmnModel &model,
-                                    RetrievalStages *stages = nullptr) const;
-
-    /**
-     * Re-point the query-time knobs (shortlist budget, tag-prune
-     * threshold) without rebuilding the corpus-side structures. The
-     * build-time knobs (`tagLevel`, `sketchDim`) keep the values the
-     * index was built with — sweeping those requires a rebuild. Not
-     * thread-safe against concurrent `shortlist` calls; benchmarks
-     * sweep knobs between measurement passes, not during one.
-     */
-    void setQueryKnobs(size_t shortlist, double tag_prune)
-    {
-        config_.shortlist = shortlist;
-        config_.tagPrune = tag_prune;
-    }
-
-    const RetrievalConfig &config() const { return config_; }
-    const TagIndex &tags() const { return tags_; }
-    const CoarseIndex &coarse() const { return coarse_; }
-    size_t bytes() const { return tags_.bytes() + coarse_.bytes(); }
-
-  private:
-    RetrievalConfig config_;
-    TagIndex tags_;
-    CoarseIndex coarse_;
 };
 
 } // namespace cegma

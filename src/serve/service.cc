@@ -12,6 +12,7 @@
 #include "common/simd.hh"
 #include "obs/build_info.hh"
 #include "obs/trace.hh"
+#include "retrieval/coarse.hh"
 #include "tensor/workspace.hh"
 
 namespace cegma {
@@ -63,9 +64,10 @@ struct SearchService::BatchWork : PipelineItem
     std::vector<uint32_t> slots;
     std::unique_ptr<obs::StageAccum[]> accums;
 
-    // Filled by the match stage. Exhaustive mode flattens all
-    // queries x candidates into `scores`; cascade mode additionally
-    // carries each query's shortlist and the flattening offsets.
+    // Filled by the match stage: each query's candidate slots (every
+    // visible slot in exhaustive mode, the shortlist in cascade mode),
+    // its stage sizes, and the lists' exact scores flattened
+    // query-major at `offsets`.
     std::vector<std::vector<uint32_t>> lists;
     std::vector<RetrievalStages> stages;
     std::vector<size_t> offsets;
@@ -171,8 +173,7 @@ SearchService::SearchService(ServeConfig config, std::vector<Graph> corpus,
         // entry's WL tags and coarse descriptor at bootstrap/insert
         // time. Model-aware descriptors go through the model's memo
         // (coarseDescriptor), so the chains the exact stage will need
-        // are warmed right here — same warmup the one-shot index
-        // build used to provide.
+        // are warmed right here.
         bool model_aware = model_->coarseDim() > 0;
         LiveCorpus::DescriptorFn descriptor;
         if (model_aware) {
@@ -875,107 +876,18 @@ SearchService::stageEmbed(BatchWork &work)
 void
 SearchService::stageMatch(BatchWork &work)
 {
-    if (config_.retrieval.mode == RetrievalMode::Cascade)
-        matchCascade(work);
-    else
-        matchExhaustive(work);
-}
-
-void
-SearchService::stageHead(BatchWork &work)
-{
-    if (config_.retrieval.mode == RetrievalMode::Cascade)
-        headCascade(work);
-    else
-        headExhaustive(work);
-}
-
-void
-SearchService::matchExhaustive(BatchWork &work)
-{
     const size_t num_queries = work.live.size();
-    const size_t num_candidates = work.slots.size();
+    const bool cascade = config_.retrieval.mode == RetrievalMode::Cascade;
 
-    // One pair-parallel scoring pass for the whole batch: every
-    // (query, candidate) pair is an independent task writing its own
-    // slot, so any thread count produces the same bits, and the memo
-    // cache amortizes per-graph work across all queries in the batch.
-    // Pairs are scored through non-owning views — the corpus and
-    // query graphs are never copied on the hot path.
-    const size_t num_pairs = num_queries * num_candidates;
-    work.scores.assign(num_pairs, 0.0);
-    if (num_pairs > 0) {
-        // Each query's exact-score terms: built once, charged to its
-        // request, shared by all of its pairs.
-        std::vector<std::shared_ptr<const QueryTerms>> terms(num_queries);
-        parallelFor(0, num_queries, 1, [&](size_t q0, size_t q1) {
-            for (size_t q = q0; q < q1; ++q) {
-                if (work.accums)
-                    obs::setCurrentStageAccum(&work.accums[q]);
-                terms[q] = model_->queryTerms(work.live[q].query);
-            }
-            if (work.accums)
-                obs::setCurrentStageAccum(nullptr);
-        });
-        obs::TraceScope span("batch.score", "serve", "batch_size",
-                             num_queries);
-        parallelFor(0, num_pairs, 1, [&](size_t i0, size_t i1) {
-            for (size_t i = i0; i < i1; ++i) {
-                const size_t q = i / num_candidates;
-                if (work.accums)
-                    obs::setCurrentStageAccum(&work.accums[q]);
-                work.scores[i] = model_->score(
-                    GraphPairView(
-                        work.snap->graph(work.slots[i % num_candidates]),
-                        work.live[q].query),
-                    terms[q].get());
-            }
-            if (work.accums)
-                obs::setCurrentStageAccum(nullptr);
-        });
-    }
-}
-
-void
-SearchService::headExhaustive(BatchWork &work)
-{
-    const size_t num_queries = work.live.size();
-    const size_t num_candidates = work.slots.size();
-
-    auto ids = std::make_shared<const std::vector<uint64_t>>(
-        work.snap->liveIds());
-    for (size_t q = 0; q < num_queries; ++q) {
-        QueryResult result;
-        result.scores.assign(
-            work.scores.begin() +
-                static_cast<ptrdiff_t>(q * num_candidates),
-            work.scores.begin() +
-                static_cast<ptrdiff_t>((q + 1) * num_candidates));
-        result.topK = topKHits(result.scores, config_.topK);
-        result.epoch = work.snap->epoch();
-        result.ids = ids;
-        metrics_.recordRetrieval(num_candidates, num_candidates,
-                                 num_candidates);
-        finishQuery(work.live[q], std::move(result), work.flushed,
-                    static_cast<uint32_t>(num_queries),
-                    work.accums ? &work.accums[q] : nullptr);
-    }
-}
-
-void
-SearchService::matchCascade(BatchWork &work)
-{
-    const size_t num_queries = work.live.size();
-
-    // Stages 1–2, query-parallel: each query's filter + shortlist is
-    // an independent task against the pinned snapshot's (immutable)
-    // view. The shortlist a query gets is a deterministic function of
-    // (snapshot, model, query) — never of the thread count or of
-    // concurrent mutations.
+    // Query-parallel: each query's candidate list and its exact-score
+    // terms. Exhaustive mode lists every visible slot; cascade mode
+    // runs stages 1–2 against the pinned snapshot's (immutable) view,
+    // so the list is a deterministic function of (snapshot, model,
+    // query), never of the thread count or of concurrent mutations.
+    // The terms are built next to the list, charged to the same
+    // request, and shared by all of its pairs below.
     work.lists.resize(num_queries);
     work.stages.resize(num_queries);
-    // Each query's exact-score terms are built next to its shortlist,
-    // charged to the same request, and shared by all its pairs below.
     std::vector<std::shared_ptr<const QueryTerms>> terms(num_queries);
     {
         obs::TraceScope span("batch.retrieve", "serve", "batch_size",
@@ -984,9 +896,15 @@ SearchService::matchCascade(BatchWork &work)
             for (size_t q = q0; q < q1; ++q) {
                 if (work.accums)
                     obs::setCurrentStageAccum(&work.accums[q]);
-                work.lists[q] =
-                    corpus_.shortlist(*work.snap, work.live[q].query,
-                                      *model_, &work.stages[q]);
+                if (cascade) {
+                    work.lists[q] =
+                        corpus_.shortlist(*work.snap, work.live[q].query,
+                                          *model_, &work.stages[q]);
+                } else {
+                    const size_t n = work.slots.size();
+                    work.lists[q] = work.slots;
+                    work.stages[q] = RetrievalStages{n, n, n};
+                }
                 if (!work.lists[q].empty())
                     terms[q] = model_->queryTerms(work.live[q].query);
             }
@@ -995,11 +913,13 @@ SearchService::matchCascade(BatchWork &work)
         });
     }
 
-    // Stage 3: one pair-parallel exact pass over the flattened
-    // shortlists. Same bit-determinism argument as the exhaustive
-    // path — disjoint output slots, per-pair forward passes — so each
-    // verified score is bit-identical to what exhaustive mode would
-    // produce for that pair.
+    // One pair-parallel exact pass over the flattened lists: every
+    // (query, candidate) pair is an independent task writing its own
+    // slot, so any thread count produces the same bits, and the memo
+    // cache amortizes per-graph work across all queries in the batch.
+    // A verified score is therefore bit-identical whichever mode
+    // listed its pair. Pairs are scored through non-owning views — the
+    // corpus and query graphs are never copied on the hot path.
     work.offsets.assign(num_queries + 1, 0);
     for (size_t q = 0; q < num_queries; ++q)
         work.offsets[q + 1] = work.offsets[q] + work.lists[q].size();
@@ -1029,7 +949,7 @@ SearchService::matchCascade(BatchWork &work)
 }
 
 void
-SearchService::headCascade(BatchWork &work)
+SearchService::stageHead(BatchWork &work)
 {
     const size_t num_queries = work.live.size();
     const size_t num_candidates = work.slots.size();
@@ -1038,12 +958,13 @@ SearchService::headCascade(BatchWork &work)
         work.snap->liveIds());
     for (size_t q = 0; q < num_queries; ++q) {
         QueryResult result;
-        // Unverified candidates stay NaN: "not scored". Results are
+        // Unlisted candidates stay NaN: "not scored". Results are
         // indexed by *position in the snapshot's live order* (== slot
-        // order), so the shortlist's slot numbers map through
-        // lower_bound on the ascending live-slot list. Only the
-        // verified positions are ranked — the same hits `topKHits`
-        // would rank first over the whole NaN-padded vector.
+        // order), so the list's slot numbers map through lower_bound
+        // on the ascending live-slot list. Only the verified positions
+        // are ranked — the same hits `topKHits` would rank first over
+        // the whole NaN-padded vector, and exactly `topKHits(scores)`
+        // when every position is verified and no score is NaN.
         result.scores.assign(num_candidates,
                              std::numeric_limits<double>::quiet_NaN());
         std::vector<SearchHit> verified(work.lists[q].size());

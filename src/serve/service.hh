@@ -167,8 +167,8 @@ struct ServeConfig
      * the tag filter and coarse shortlist first and runs the exact GMN
      * only on the survivors; those exact scores are bit-identical to
      * exhaustive mode's, but a true top-k hit pruned early is lost
-     * (recall < 1 is possible). Cascade builds both retrieval indexes
-     * at construction.
+     * (recall < 1 is possible). Cascade has the live corpus keep its
+     * tag postings and descriptor blocks from bootstrap on.
      */
     RetrievalConfig retrieval;
 
@@ -445,14 +445,15 @@ class SearchService
     void scoreBatch(std::vector<Pending> &batch);
     /** Stage 1: pre-warm each query's memoized embedding chain. */
     void stageEmbed(BatchWork &work);
-    /** Stage 2: the pair-parallel dedup/match scoring pass. */
+    /**
+     * Stage 2: each query's candidate list (every visible slot, or
+     * the cascade shortlist) and terms, then one pair-parallel
+     * dedup/match scoring pass over all lists.
+     */
     void stageMatch(BatchWork &work);
-    /** Stage 3: top-k, result assembly, promise delivery. */
+    /** Stage 3: top-k over the verified pairs, result assembly,
+     *  promise delivery. */
     void stageHead(BatchWork &work);
-    void matchExhaustive(BatchWork &work);
-    void matchCascade(BatchWork &work);
-    void headExhaustive(BatchWork &work);
-    void headCascade(BatchWork &work);
     /** Fill `result`'s wall figures, record them, deliver it. */
     void finishQuery(Pending &pending, QueryResult result,
                      SteadyTime flushed, uint32_t batch_size,

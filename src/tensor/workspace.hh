@@ -27,9 +27,8 @@
  * pass-through to plain aligned new/delete for A/B debugging.
  *
  * Telemetry: relaxed-atomic hit/miss/byte counters surface as
- * `workspace.{hits,misses,bytes}` gauges in the PR-4 registry (wired
- * by SearchService) and as `workspace.miss_rate` in
- * `bench_to_json --serving`.
+ * `workspace.{hits,misses,bytes}` gauges in the service's metrics
+ * registry (wired by SearchService).
  */
 
 #ifndef CEGMA_TENSOR_WORKSPACE_HH

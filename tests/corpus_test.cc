@@ -60,7 +60,7 @@
 #include "gmn/model.hh"
 #include "graph/dataset.hh"
 #include "graph/generators.hh"
-#include "retrieval/tag_index.hh"
+#include "retrieval/coarse.hh"
 #include "serve/loadgen.hh"
 #include "serve/service.hh"
 

@@ -13,6 +13,9 @@
 #include "accel/window.hh"
 #include "common/rng.hh"
 #include "emf/emf.hh"
+#include "gmn/memo.hh"
+#include "gmn/model.hh"
+#include "graph/dataset.hh"
 #include "graph/generators.hh"
 #include "graph/wl_refine.hh"
 
@@ -181,6 +184,62 @@ TEST(EdgeCases, SingleNodePairThroughEveryModelAndKnob)
                 EXPECT_EQ(result.scores[0], dense.scores[0])
                     << modelConfig(mid).name << " dedup=" << dedup
                     << " memo=" << memo;
+            }
+        }
+    }
+}
+
+/**
+ * A graph with no nodes scores against another 0-node graph and
+ * against an AIDS graph, on either side of the pair, in every model:
+ * `runFunctional`, `score` (with and without the query's terms) and
+ * `forwardDetailed` return the same finite score at every dedup x memo
+ * setting. GraphSim resizes the pair's empty similarity matrix to its
+ * all-zero image.
+ */
+TEST(EdgeCases, ZeroNodePairsThroughEveryModelAndKnob)
+{
+    const Graph aids =
+        makeCloneSearchCorpus(DatasetId::AIDS, 1, 1).candidates[0];
+    ASSERT_GT(aids.numNodes(), 0u);
+    Dataset ds;
+    ds.spec = datasetSpec(DatasetId::AIDS);
+    ds.pairs.push_back(pairOf(Graph(), Graph()));
+    ds.pairs.push_back(pairOf(Graph(), aids));
+    ds.pairs.push_back(pairOf(aids, Graph()));
+    for (ModelId mid : allModels()) {
+        SCOPED_TRACE(modelConfig(mid).name);
+        FunctionalResult dense = runFunctional(mid, ds);
+        ASSERT_EQ(dense.scores.size(), ds.pairs.size());
+        for (double s : dense.scores)
+            EXPECT_TRUE(std::isfinite(s));
+        for (bool dedup : {false, true}) {
+            for (bool memo : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "dedup=" << dedup << " memo=" << memo);
+                FunctionalOptions options;
+                options.dedup = dedup;
+                options.memo = memo;
+                FunctionalResult result = runFunctional(mid, ds, options);
+                std::unique_ptr<GmnModel> model = makeModel(mid);
+                MemoCache cache;
+                InferenceOptions infer;
+                infer.dedupMatching = dedup;
+                infer.memo = memo ? &cache : nullptr;
+                model->setInferenceOptions(infer);
+                for (size_t i = 0; i < ds.pairs.size(); ++i) {
+                    const GraphPair &pair = ds.pairs[i];
+                    const GraphPairView view(pair.target, pair.query);
+                    const double want = dense.scores[i];
+                    std::shared_ptr<const QueryTerms> terms =
+                        model->queryTerms(pair.query);
+                    EXPECT_EQ(result.scores[i], want) << "pair " << i;
+                    EXPECT_EQ(model->score(view), want) << "pair " << i;
+                    EXPECT_EQ(model->score(view, terms.get()), want)
+                        << "pair " << i;
+                    EXPECT_EQ(model->forwardDetailed(view).score, want)
+                        << "pair " << i;
+                }
             }
         }
     }

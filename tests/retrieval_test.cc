@@ -3,24 +3,31 @@
  * The retrieval cascade's proof obligations:
  *   - WL tag sets are canonical, sorted-unique, and clone queries keep
  *     most of their base graph's tags;
- *   - the inverted tag index honors the overlap threshold, returns
- *     ascending candidate ids, and never prunes at threshold 0;
+ *   - the live corpus's stage-1 tag filter (shortlist budget 0)
+ *     honors the overlap threshold, returns ascending slots, never
+ *     prunes at threshold 0, keeps a self-query at full overlap, and
+ *     returns nothing from an empty corpus;
  *   - coarse vectors have the documented dimensions (pooled chain for
  *     partner-independent models, WL sketch for GMN-Li) and the
- *     shortlist kernel is a pure function of the vectors — same set on
- *     every call, id-ascending, with C=0 meaning "no cut";
+ *     shortlist is a pure function of the stored descriptors — same
+ *     set on every call, slot-ascending, with C=0 meaning "no cut";
  *   - every block key (SimGNN's model-aware scorer, L2 over GraphSim
  *     chains and GMN-Li sketches) is bitwise the per-candidate oracle's
  *     (tests/coarse_oracle.hh) at any block grouping, thread count and
- *     SIMD level, and the static index's shortlists — unpruned and
- *     tag-pruned, at corpus sizes around one 512-row run — equal the
- *     oracle's selection;
+ *     SIMD level (corpus_test's `LiveCorpusBlocks.*` checks the
+ *     shortlists built from them);
+ *   - stages 1–2 composed: the chain-distance shortlist keeps a
+ *     planted clone, the model-aware one reaches the exact-score
+ *     maximum, and within budget every survivor comes back without a
+ *     scorer being built;
  *   - a cascade `SearchService`'s verified scores are bit-identical to
  *     exhaustive mode's for every candidate the cascade touches, at
  *     multiple thread counts and batch sizes, and pruned candidates
  *     surface as NaN ("not scored"), never as fabricated scores;
  *   - the per-stage candidate counters flow through the metrics
- *     registry (exhaustive mode verifies everything; cascade prunes);
+ *     registry (exhaustive mode verifies everything, and its top-k is
+ *     `topKHits` over its scores; cascade prunes), and every registry
+ *     name the serving benchmark reads exists in both modes;
  *   - the recall gate: at the CI corpus size (see
  *     CEGMA_RETRIEVAL_CI_CANDIDATES), cascade recall@10 against the
  *     exhaustive oracle stays >= 0.99 (`RetrievalGate.*` is the
@@ -34,18 +41,22 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "coarse_oracle.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
+#include "corpus/live_corpus.hh"
 #include "gmn/memo.hh"
 #include "gmn/model.hh"
 #include "graph/dataset.hh"
+#include "obs/metrics.hh"
 #include "retrieval/coarse.hh"
 #include "retrieval/retrieval.hh"
-#include "retrieval/tag_index.hh"
 #include "serve/service.hh"
 
 namespace cegma {
@@ -81,36 +92,78 @@ TEST(WlTags, CloneKeepsMostTags)
     }
 }
 
-// ---- TagIndex -------------------------------------------------------
+// ---- The live corpus as the cascade's index -------------------------
 
-TEST(TagIndex, ThresholdZeroKeepsEveryoneAscending)
+/**
+ * A live corpus bootstrapped with `graphs` under ids 0..n-1 and never
+ * mutated, so slot c is graphs[c]. With `model` it stores the
+ * descriptors the service would (model-aware when the model
+ * decomposes its head, else pooled chains or WL sketches); without,
+ * it keeps only the stage-1 postings, for a shortlist budget of 0.
+ */
+std::unique_ptr<LiveCorpus>
+indexedCorpus(std::vector<Graph> graphs, const RetrievalConfig &rc,
+              const GmnModel *model = nullptr)
+{
+    auto corpus = std::make_unique<LiveCorpus>();
+    const bool model_aware = model != nullptr && model->coarseDim() > 0;
+    LiveCorpus::DescriptorFn descriptor;
+    if (model != nullptr) {
+        descriptor = [model, model_aware, rc](const Graph &g,
+                                              std::vector<float> &out) {
+            out = coarse_oracle::descriptorOf(*model, model_aware, g,
+                                              rc.tagLevel, rc.sketchDim);
+        };
+    }
+    corpus->enableIndex(rc, model_aware, std::move(descriptor));
+    std::vector<uint64_t> ids(graphs.size());
+    std::iota(ids.begin(), ids.end(), uint64_t{0});
+    corpus->bootstrap(std::move(graphs), std::move(ids));
+    return corpus;
+}
+
+/** Stage 1 alone: `corpus`'s shortlist at budget 0 and `prune`. */
+std::vector<uint32_t>
+tagSurvivors(LiveCorpus &corpus, const Graph &query, double prune,
+             RetrievalStages *stages = nullptr)
+{
+    // Budget 0 never builds a coarse scorer, so any model will do.
+    static const std::unique_ptr<GmnModel> unused =
+        makeModel(ModelId::GraphSim);
+    corpus.setQueryKnobs(0, prune);
+    return corpus.shortlist(*corpus.pin(), query, *unused, stages);
+}
+
+TEST(TagFilter, ThresholdZeroKeepsEveryoneAscending)
 {
     CloneSearchCorpus corpus =
         makeCloneSearchCorpus(DatasetId::AIDS, 1, 12);
-    TagIndex index;
-    index.build(corpus.candidates, 1);
-    EXPECT_EQ(index.corpusSize(), 12u);
-    EXPECT_GT(index.numTags(), 0u);
-    EXPECT_GT(index.numPostings(), 0u);
-    EXPECT_GT(index.bytes(), 0u);
+    std::unique_ptr<LiveCorpus> index =
+        indexedCorpus(corpus.candidates, RetrievalConfig{});
+    EXPECT_GT(index->indexBytes(), 0u);
 
-    std::vector<uint32_t> all = index.survivors(corpus.queries[0], 0.0);
+    RetrievalStages stages;
+    std::vector<uint32_t> all =
+        tagSurvivors(*index, corpus.queries[0], 0.0, &stages);
     ASSERT_EQ(all.size(), 12u);
     for (uint32_t c = 0; c < 12; ++c)
         EXPECT_EQ(all[c], c);
+    EXPECT_EQ(stages.corpus, 12u);
+    EXPECT_EQ(stages.survivors, 12u);
+    EXPECT_EQ(stages.shortlisted, 12u);
 }
 
-TEST(TagIndex, ThresholdPrunesMonotonically)
+TEST(TagFilter, ThresholdPrunesMonotonically)
 {
     CloneSearchCorpus corpus =
         makeCloneSearchCorpus(DatasetId::AIDS, 4, 32);
-    TagIndex index;
-    index.build(corpus.candidates, 1);
+    std::unique_ptr<LiveCorpus> index =
+        indexedCorpus(corpus.candidates, RetrievalConfig{});
     for (size_t q = 0; q < corpus.queries.size(); ++q) {
         std::vector<uint32_t> loose =
-            index.survivors(corpus.queries[q], 0.25);
+            tagSurvivors(*index, corpus.queries[q], 0.25);
         std::vector<uint32_t> tight =
-            index.survivors(corpus.queries[q], 0.75);
+            tagSurvivors(*index, corpus.queries[q], 0.75);
         EXPECT_TRUE(std::is_sorted(loose.begin(), loose.end()));
         // A stricter threshold can only shrink the survivor set.
         EXPECT_TRUE(std::includes(loose.begin(), loose.end(),
@@ -124,29 +177,34 @@ TEST(TagIndex, ThresholdPrunesMonotonically)
     }
 }
 
-TEST(TagIndex, SelfQuerySurvivesFullOverlap)
+TEST(TagFilter, SelfQuerySurvivesFullOverlap)
 {
     CloneSearchCorpus corpus =
         makeCloneSearchCorpus(DatasetId::AIDS, 1, 8);
-    TagIndex index;
-    index.build(corpus.candidates, 2);
+    RetrievalConfig rc;
+    rc.tagLevel = 2;
+    std::unique_ptr<LiveCorpus> index = indexedCorpus(corpus.candidates, rc);
     for (uint32_t c = 0; c < 8; ++c) {
         std::vector<uint32_t> s =
-            index.survivors(corpus.candidates[c], 1.0);
+            tagSurvivors(*index, corpus.candidates[c], 1.0);
         EXPECT_TRUE(std::binary_search(s.begin(), s.end(), c))
             << "candidate " << c;
     }
 }
 
-TEST(TagIndex, EmptyCorpus)
+TEST(TagFilter, EmptyCorpusReturnsNothing)
 {
-    TagIndex index;
-    index.build({}, 1);
-    EXPECT_EQ(index.corpusSize(), 0u);
-    EXPECT_EQ(index.numTags(), 0u);
+    std::unique_ptr<LiveCorpus> index = indexedCorpus({}, RetrievalConfig{});
     CloneSearchCorpus corpus =
         makeCloneSearchCorpus(DatasetId::AIDS, 1, 1);
-    EXPECT_TRUE(index.survivors(corpus.queries[0], 0.0).empty());
+    for (double prune : {0.0, 0.25}) {
+        RetrievalStages stages;
+        EXPECT_TRUE(
+            tagSurvivors(*index, corpus.queries[0], prune, &stages).empty())
+            << "prune " << prune;
+        EXPECT_EQ(stages.corpus, 0u);
+        EXPECT_EQ(stages.survivors, 0u);
+    }
 }
 
 // ---- Coarse vectors & shortlist -------------------------------------
@@ -183,23 +241,28 @@ TEST(Coarse, ShortlistIsDeterministicAndBounded)
     CloneSearchCorpus corpus =
         makeCloneSearchCorpus(DatasetId::AIDS, 4, 24);
     std::unique_ptr<GmnModel> model = makeModel(ModelId::GraphSim);
-    CoarseIndex index;
-    index.build(corpus.candidates, *model, 1, 128);
-    EXPECT_EQ(index.corpusSize(), 24u);
+    RetrievalConfig rc;
+    rc.mode = RetrievalMode::Cascade;
+    std::unique_ptr<LiveCorpus> index =
+        indexedCorpus(corpus.candidates, rc, model.get());
+    LiveCorpus::SnapshotPtr snap = index->pin();
+    EXPECT_EQ(snap->liveCount(), 24u);
 
     std::vector<uint32_t> everyone(24);
-    for (uint32_t c = 0; c < 24; ++c)
-        everyone[c] = c;
-
+    std::iota(everyone.begin(), everyone.end(), 0u);
+    auto shortlist = [&](size_t budget, const Graph &query) {
+        index->setQueryKnobs(budget, 0.0);
+        return index->shortlist(*snap, query, *model);
+    };
     for (size_t q = 0; q < corpus.queries.size(); ++q) {
-        L2CoarseScorer qv(coarseVector(corpus.queries[q], *model, 1, 128));
-        std::vector<uint32_t> top = index.shortlist(qv, everyone, 6);
+        const Graph &query = corpus.queries[q];
+        std::vector<uint32_t> top = shortlist(6, query);
         ASSERT_EQ(top.size(), 6u);
         EXPECT_TRUE(std::is_sorted(top.begin(), top.end()));
-        EXPECT_EQ(index.shortlist(qv, everyone, 6), top); // pure
+        EXPECT_EQ(shortlist(6, query), top); // pure
         // C = 0 and C >= N both mean "no cut".
-        EXPECT_EQ(index.shortlist(qv, everyone, 0), everyone);
-        EXPECT_EQ(index.shortlist(qv, everyone, 24), everyone);
+        EXPECT_EQ(shortlist(0, query), everyone);
+        EXPECT_EQ(shortlist(24, query), everyone);
         // The clone's base graph is the nearest thing in chain space.
         EXPECT_TRUE(std::binary_search(top.begin(), top.end(),
                                        static_cast<uint32_t>(q)))
@@ -209,7 +272,7 @@ TEST(Coarse, ShortlistIsDeterministicAndBounded)
 
 // ---- Block scorers vs the per-candidate oracle ----------------------
 
-/** Row-major matrix of `rows`, as the static index stores them. */
+/** Row-major matrix of `rows`: one descriptor block. */
 Matrix
 stackRows(const std::vector<std::vector<float>> &rows)
 {
@@ -288,87 +351,11 @@ TEST(CoarseBlockKeys, BitIdenticalToPerCandidateOracleAtAnyGrouping)
     ThreadPool::instance().setThreads(0);
 }
 
-TEST(CoarseIndexBlocks, ShortlistsAndKeysMatchOracle)
+// ---- Stages 1–2 composed --------------------------------------------
+
+TEST(LiveShortlist, ChainDistanceShortlistFindsPlantedClone)
 {
-    using namespace coarse_oracle;
-    constexpr uint32_t kMax = 1500;
-    constexpr size_t kBudget = 16;
-    CloneSearchCorpus data =
-        makeCloneSearchCorpus(DatasetId::AIDS, 3, kMax);
-    const SimdLevel before = simdLevel();
-    for (const KeyCase &kc : kKeyCases) {
-        SCOPED_TRACE(modelConfig(kc.id).name);
-        std::unique_ptr<GmnModel> model = makeModel(kc.id);
-        MemoCache memo; // index builds below re-embed the same graphs
-        InferenceOptions infer;
-        infer.memo = &memo;
-        model->setInferenceOptions(infer);
-
-        std::vector<std::vector<float>> desc;
-        for (const Graph &g : data.candidates)
-            desc.push_back(descriptorOf(*model, kc.modelAware, g, 1, 128));
-        // Static norms are rowSquaredNorms, a per-row function, so a
-        // prefix index stores the prefix of these.
-        Matrix norms = rowSquaredNorms(stackRows(desc));
-
-        for (uint32_t n : {0u, 1u, 511u, 512u, 513u, kMax}) {
-            SCOPED_TRACE(testing::Message() << "corpus " << n);
-            std::vector<Graph> prefix(data.candidates.begin(),
-                                      data.candidates.begin() + n);
-            CoarseIndex index;
-            index.build(prefix, *model, 1, 128);
-            ASSERT_EQ(index.corpusSize(), n);
-            EXPECT_EQ(index.modelAware(), kc.modelAware);
-            TagIndex tags;
-            tags.build(prefix, 1);
-
-            for (const Graph &query : data.queries) {
-                std::unique_ptr<CoarseScorer> scorer =
-                    makeCoarseScorer(query, *model, kc.modelAware, 1, 128);
-                KeyFn oracle =
-                    keyFnFor(*model, kc.modelAware, query, *scorer, 1, 128);
-                std::vector<uint32_t> everyone(n);
-                for (uint32_t c = 0; c < n; ++c)
-                    everyone[c] = c;
-                for (const std::vector<uint32_t> &surv :
-                     {everyone, tags.survivors(query, 0.25)}) {
-                    std::vector<std::pair<float, uint32_t>> keyed;
-                    for (uint32_t c : surv)
-                        keyed.push_back(
-                            {oracle(desc[c].data(), norms.at(c, 0)), c});
-                    const std::vector<uint32_t> want =
-                        lowest(keyed, kBudget);
-                    for (SimdLevel level : simdLevels()) {
-                        setSimdLevel(level);
-                        for (uint32_t threads : {1u, 2u, 8u}) {
-                            ThreadPool::instance().setThreads(threads);
-                            CheckedScorer checked(*scorer, oracle);
-                            EXPECT_EQ(index.shortlist(checked, surv,
-                                                      kBudget),
-                                      want)
-                                << simdLevelName(level) << " threads "
-                                << threads;
-                            EXPECT_EQ(checked.mismatches.load(), 0u);
-                            size_t scored =
-                                surv.size() > kBudget ? surv.size() : 0;
-                            EXPECT_EQ(checked.scored.load(), scored);
-                            EXPECT_EQ(checked.calls.load(),
-                                      (scored + 511) / 512);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    setSimdLevel(before);
-    ThreadPool::instance().setThreads(0);
-}
-
-// ---- RetrievalIndex (stage 1 + stage 2 composed) --------------------
-
-TEST(RetrievalIndex, ChainDistanceShortlistFindsPlantedClone)
-{
-    // GraphSim has no model-aware coarse head, so the index ranks by
+    // GraphSim has no model-aware coarse head, so the corpus ranks by
     // pooled-chain distance — where a 1-edge clone is the nearest
     // corpus graph by construction.
     CloneSearchCorpus corpus =
@@ -381,15 +368,15 @@ TEST(RetrievalIndex, ChainDistanceShortlistFindsPlantedClone)
     config.mode = RetrievalMode::Cascade;
     config.shortlist = 8;
     config.tagPrune = 0.25;
-    RetrievalIndex index;
-    index.build(corpus.candidates, *model, config);
-    EXPECT_GT(index.bytes(), 0u);
-    EXPECT_FALSE(index.coarse().modelAware());
+    std::unique_ptr<LiveCorpus> index =
+        indexedCorpus(corpus.candidates, config, model.get());
+    EXPECT_GT(index->indexBytes(), 0u);
+    LiveCorpus::SnapshotPtr snap = index->pin();
 
     for (size_t q = 0; q < corpus.queries.size(); ++q) {
         RetrievalStages stages;
         std::vector<uint32_t> list =
-            index.shortlist(corpus.queries[q], *model, &stages);
+            index->shortlist(*snap, corpus.queries[q], *model, &stages);
         EXPECT_LE(list.size(), 8u);
         EXPECT_EQ(stages.corpus, 48u);
         EXPECT_GE(stages.survivors, stages.shortlisted);
@@ -400,9 +387,9 @@ TEST(RetrievalIndex, ChainDistanceShortlistFindsPlantedClone)
     }
 }
 
-TEST(RetrievalIndex, ModelAwareShortlistTracksExactRanking)
+TEST(LiveShortlist, ModelAwareShortlistTracksExactRanking)
 {
-    // SimGNN decomposes its head, so the index stores model
+    // SimGNN decomposes its head, so the corpus stores model
     // descriptors and ranks with the query-conditioned scorer — whose
     // whole point is agreeing with the *exact score* ranking, clone or
     // not.
@@ -415,19 +402,16 @@ TEST(RetrievalIndex, ModelAwareShortlistTracksExactRanking)
     RetrievalConfig config;
     config.mode = RetrievalMode::Cascade;
     config.shortlist = 16;
-    RetrievalIndex index;
-    index.build(corpus.candidates, *model, config);
-    EXPECT_TRUE(index.coarse().modelAware());
-    EXPECT_EQ(index.coarse().dim(), model->coarseDim());
+    std::unique_ptr<LiveCorpus> index =
+        indexedCorpus(corpus.candidates, config, model.get());
+    LiveCorpus::SnapshotPtr snap = index->pin();
 
     for (size_t q = 0; q < corpus.queries.size(); ++q) {
         const Graph &query = corpus.queries[q];
-        RetrievalStages stages;
-        std::vector<uint32_t> list =
-            index.shortlist(query, *model, &stages);
+        std::vector<uint32_t> list = index->shortlist(*snap, query, *model);
         ASSERT_EQ(list.size(), 16u);
         EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
-        EXPECT_EQ(index.shortlist(query, *model), list); // pure
+        EXPECT_EQ(index->shortlist(*snap, query, *model), list); // pure
 
         // The shortlist must reach the exact-score maximum: on a
         // 64-graph corpus, a 16-deep model-aware shortlist containing
@@ -449,12 +433,11 @@ TEST(RetrievalIndex, ModelAwareShortlistTracksExactRanking)
 }
 
 /**
- * Whether the coarse stage ranks with the model's own scorer is a
- * property of the model, so a SimGNN index over zero or one graph is
- * model-aware too. Within the shortlist budget every survivor comes
- * back, and no scorer is built (building one embeds the query).
+ * A model-aware SimGNN corpus of zero or one graph: within the
+ * shortlist budget every survivor comes back, and no scorer is built
+ * (building one embeds the query, a memo lookup).
  */
-TEST(RetrievalIndex, TinyCorporaAreModelAwareAndReturnEverySurvivor)
+TEST(LiveShortlist, TinyCorporaReturnEverySurvivorWithoutAScorer)
 {
     CloneSearchCorpus corpus = makeCloneSearchCorpus(DatasetId::AIDS, 2, 1);
     std::unique_ptr<GmnModel> model = makeModel(ModelId::SimGnn);
@@ -464,24 +447,21 @@ TEST(RetrievalIndex, TinyCorporaAreModelAwareAndReturnEverySurvivor)
     model->setInferenceOptions(infer);
     for (uint32_t n : {0u, 1u}) {
         SCOPED_TRACE(testing::Message() << "corpus " << n);
-        std::vector<Graph> graphs(corpus.candidates.begin(),
-                                  corpus.candidates.begin() + n);
-        CoarseIndex coarse;
-        coarse.build(graphs, *model, 1, 128);
-        EXPECT_TRUE(coarse.modelAware());
-
         RetrievalConfig config;
         config.mode = RetrievalMode::Cascade;
         config.shortlist = 16;
-        RetrievalIndex index;
-        index.build(graphs, *model, config);
-        EXPECT_TRUE(index.coarse().modelAware());
+        std::unique_ptr<LiveCorpus> index = indexedCorpus(
+            std::vector<Graph>(corpus.candidates.begin(),
+                               corpus.candidates.begin() + n),
+            config, model.get());
+        LiveCorpus::SnapshotPtr snap = index->pin();
         std::vector<uint32_t> everyone(n);
         std::iota(everyone.begin(), everyone.end(), 0u);
         for (const Graph &query : corpus.queries) {
             const size_t lookups = memo.embeddingLookups();
             RetrievalStages stages;
-            EXPECT_EQ(index.shortlist(query, *model, &stages), everyone);
+            EXPECT_EQ(index->shortlist(*snap, query, *model, &stages),
+                      everyone);
             EXPECT_EQ(stages.survivors, n);
             EXPECT_EQ(stages.shortlisted, n);
             EXPECT_EQ(memo.embeddingLookups(), lookups);
@@ -607,6 +587,21 @@ TEST(CascadeService, TopKRanksOnlyVerifiedCandidates)
     EXPECT_GT(snap.retrievalFilterPruneRatio, 0.0);
 }
 
+/** `got` and `want` hold the same hits, in order, scores bitwise. */
+void
+expectSameHits(const std::vector<SearchHit> &got,
+               const std::vector<SearchHit> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].candidate, want[i].candidate) << "rank " << i;
+        EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score,
+                              sizeof(double)),
+                  0)
+            << "rank " << i;
+    }
+}
+
 TEST(CascadeService, ExhaustiveModeVerifiesEverything)
 {
     CloneSearchCorpus corpus =
@@ -614,11 +609,17 @@ TEST(CascadeService, ExhaustiveModeVerifiesEverything)
     ServeConfig config;
     config.model = ModelId::SimGnn;
     config.flushMicros = 200;
+    config.topK = 3;
     SearchService service(config, corpus.candidates);
     for (const Graph &query : corpus.queries) {
         QueryResult result = service.submit(query).get();
+        ASSERT_EQ(result.scores.size(), 5u);
         for (double s : result.scores)
             EXPECT_FALSE(std::isnan(s));
+        // Exhaustive mode ranks every position through the verified
+        // (position, score) head: with no NaN that is exactly the
+        // dense ranking.
+        expectSameHits(result.topK, topKHits(result.scores, config.topK));
     }
     service.shutdown();
     MetricsSnapshot snap = service.metrics();
@@ -656,6 +657,54 @@ TEST(CascadeService, StageCountersReachRegistryExports)
     EXPECT_NE(prom.find("serve_retrieval_verified"), std::string::npos);
     EXPECT_NE(prom.find("serve_retrieval_index_bytes"),
               std::string::npos);
+}
+
+/**
+ * Every registry name the serving benchmark (perfbench/servebench.cc)
+ * reads exists after a batch in either retrieval mode: a missing name
+ * turns its per-layer values into nulls even when the run succeeds.
+ */
+TEST(CascadeService, BenchmarkRegistryNamesExistInBothModes)
+{
+    const char *const kNames[] = {
+        "serve.batches",
+        "serve.requests.completed",
+        "serve.pipeline.batches",
+        "serve.pipeline.embed_busy_us",
+        "serve.pipeline.match_busy_us",
+        "serve.pipeline.head_busy_us",
+        "serve.pipeline.queue_wait_us",
+        "serve.pipeline.overlap_us",
+        "serve.retrieval.survivors",
+        "serve.retrieval.verified",
+        "serve.retrieval.index_bytes",
+        "serve.corpus.epoch",
+        "serve.corpus.epochs_reclaimed",
+        "serve.corpus.compactions",
+        "serve.dedup.rows_total",
+        "serve.dedup.rows_unique",
+    };
+    CloneSearchCorpus corpus =
+        makeCloneSearchCorpus(DatasetId::AIDS, 2, 20);
+    for (RetrievalMode mode :
+         {RetrievalMode::Exhaustive, RetrievalMode::Cascade}) {
+        SCOPED_TRACE(retrievalModeName(mode));
+        ServeConfig config;
+        config.model = ModelId::SimGnn;
+        config.flushMicros = 200;
+        config.retrieval.mode = mode;
+        config.retrieval.shortlist = 4;
+        SearchService service(config, corpus.candidates);
+        for (const Graph &query : corpus.queries)
+            service.submit(query).get();
+        std::set<std::string> names;
+        for (const obs::MetricValue &m :
+             service.registry().snapshot().metrics)
+            names.insert(m.name);
+        for (const char *name : kNames)
+            EXPECT_EQ(names.count(name), 1u) << name;
+        service.shutdown();
+    }
 }
 
 TEST(CascadeService, CascadeOnEmptyCorpusIsEmpty)

@@ -810,6 +810,21 @@ TEST(SearchService, BitIdenticalForEveryModel)
     ThreadPool::instance().setThreads(0);
 }
 
+/** `got` and `want` hold the same hits, in order, scores bitwise. */
+void
+expectSameHits(const std::vector<SearchHit> &got,
+               const std::vector<SearchHit> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].candidate, want[i].candidate) << "rank " << i;
+        EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score,
+                              sizeof(double)),
+                  0)
+            << "rank " << i;
+    }
+}
+
 TEST(SearchService, TopKIsSortedAndConsistent)
 {
     CloneSearchCorpus corpus = makeCloneSearchCorpus(
@@ -828,8 +843,64 @@ TEST(SearchService, TopKIsSortedAndConsistent)
         EXPECT_EQ(hit.score, result.scores[hit.candidate]);
     }
     // The best hit dominates all scores.
-    for (double s : result.scores)
+    for (double s : result.scores) {
+        EXPECT_FALSE(std::isnan(s));
         EXPECT_GE(result.topK.front().score, s);
+    }
+    // Exhaustive results rank every position through the verified
+    // (position, score) head, which is the dense ranking here.
+    expectSameHits(result.topK, topKHits(result.scores, config.topK));
+}
+
+/**
+ * A GraphSim service with a 0-node graph in its corpus and as a
+ * query, exhaustive and cascade, scores those pairs like a serial
+ * no-memo model: the CNN branch resizes their empty similarity
+ * matrices to zeros instead of aborting the process.
+ */
+TEST(SearchService, ZeroNodeGraphsScoreInBothModes)
+{
+    CloneSearchCorpus corpus = makeCloneSearchCorpus(DatasetId::AIDS, 1, 6);
+    std::vector<Graph> candidates = corpus.candidates;
+    candidates.push_back(Graph());
+    const std::vector<Graph> queries = {corpus.queries[0], Graph()};
+    ServeConfig config;
+    config.model = ModelId::GraphSim;
+    config.flushMicros = 200;
+    config.maxBatch = 2;
+    config.retrieval.shortlist = 4;
+    std::unique_ptr<GmnModel> plain =
+        makeModel(config.model, config.modelSeed);
+    for (RetrievalMode mode :
+         {RetrievalMode::Exhaustive, RetrievalMode::Cascade}) {
+        SCOPED_TRACE(retrievalModeName(mode));
+        config.retrieval.mode = mode;
+        SearchService service(config, candidates);
+        std::vector<std::future<QueryResult>> futures;
+        for (const Graph &query : queries)
+            futures.push_back(service.submit(query));
+        for (size_t q = 0; q < queries.size(); ++q) {
+            QueryResult result = futures[q].get();
+            ASSERT_EQ(result.scores.size(), candidates.size());
+            size_t verified = 0;
+            for (size_t c = 0; c < candidates.size(); ++c) {
+                if (std::isnan(result.scores[c]))
+                    continue;
+                ++verified;
+                const double want = plain->forwardDetailed(
+                    GraphPairView(candidates[c], queries[q])).score;
+                EXPECT_TRUE(std::isfinite(want));
+                EXPECT_EQ(std::memcmp(&result.scores[c], &want,
+                                      sizeof want),
+                          0)
+                    << "q=" << q << " c=" << c;
+            }
+            EXPECT_EQ(verified, mode == RetrievalMode::Exhaustive
+                                    ? candidates.size()
+                                    : config.retrieval.shortlist);
+        }
+        service.shutdown();
+    }
 }
 
 TEST(SearchService, EmptyCorpusYieldsEmptyResults)

@@ -20,57 +20,26 @@
  *                 [--min-ms M]
  *   bench_to_json --e2e [--out FILE] [--threads LIST] [--queries Q]
  *                 [--candidates C] [--reps R]
- *   bench_to_json --serving [--out FILE] [--threads LIST]
- *                 [--queries Q] [--candidates C] [--requests N]
- *                 [--load F]
  *   bench_to_json --retrieval [--out FILE] [--threads LIST]
  *                 [--queries Q] [--candidates C]
- *   bench_to_json --live [--out FILE] [--threads LIST]
- *                 [--queries Q] [--candidates C] [--requests N]
- *                 [--load F]
- *
- * `--live` measures serving under online corpus mutation: the cascade
- * SearchService (SimGNN, shortlist 64) over an AIDS corpus (default
- * 8 queries x 100000 candidates), driven open-loop at a calibrated
- * QPS while a seeded mutation stream inserts/removes corpus entries
- * at 0% / 1% / 10% of the request rate (epoch published every 2
- * mutations). Each request's scores are verified bit-identical to
- * the standalone exact oracle and recall@10 is judged against the
- * oracle top-10 *of that request's pinned epoch* — the live ids its
- * result declares. Records {mutate_rate, p50/p95/p99 ms,
- * recall_at_10, epochs, epochs_reclaimed} land in BENCH_live.json:
- * the p95/p99 delta across rates is the latency price of mutability,
- * and flat recall says pinned-epoch consistency holds under churn.
  *
  * Defaults: --out BENCH_kernels.json, --threads 1,2,4, --min-ms 200.
  * `--out -` writes to stdout.
  *
  * `--retrieval` runs the recall@10-vs-speedup sweep of the retrieval
- * cascade (src/retrieval) on an AIDS clone-search corpus (default
- * 16 queries x 100000 candidates): one exhaustive SimGNN pass over
- * the full corpus establishes the per-query oracle top-10 score
- * thresholds *and* the latency baseline, then each (shortlist,
- * tag-prune) cascade config is timed end to end (tag filter + coarse
- * shortlist + exact verify + top-k select). Recall is tie-aware — a
+ * cascade on an AIDS clone-search corpus (default 16 queries x
+ * 100000 candidates): one exhaustive SimGNN pass over the full corpus
+ * establishes the per-query oracle top-10 score thresholds *and* the
+ * latency baseline, then the candidates are bootstrapped into a
+ * `LiveCorpus` (the serving index; `index_build_ms` is the bootstrap)
+ * and each (shortlist, tag-prune) cascade config is timed end to end
+ * against its one pinned snapshot (tag filter + coarse shortlist +
+ * exact verify + top-k select). Recall is tie-aware — a
  * cascade top-10 slot counts when its exact score reaches the
  * oracle's 10th-best score, the honest reading when scores tie
  * bit-exactly — and every verified score is checked bit-identical to
  * the exhaustive pass before it is counted. Records land in
  * BENCH_retrieval.json.
- *
- * `--serving` drives the src/serve SearchService with the open-loop
- * Poisson load generator over the RD-B clone-search corpus (Q queries,
- * C candidates): for each model, the offered load is calibrated to
- * `--load` (default 0.6) of the measured *dense* capacity, then both
- * the dense and the dedup+memo service score the byte-identical
- * arrival schedule — each in the monolithic batch path (pipeline
- * depth 0) and, for the full runtime, again through the pipelined
- * engine (depth 2), so pipelined-vs-monolithic is one more equal-load
- * column. Records {model, mode, pipeline_depth, offered_qps,
- * achieved_qps, p50/p95/p99 ms, batch mean, cache hit rate, dedup
- * skip ratio, workspace_miss_rate} land in BENCH_serving.json — equal
- * load by construction, so "dedup+memo no slower" and "pipelining no
- * slower" are directly readable off the percentiles.
  *
  * `--e2e` switches to the end-to-end functional-inference sweep: for
  * each model, run `runFunctional` over a duplicate-heavy RD-B
@@ -90,12 +59,10 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/runner.hh"
@@ -104,6 +71,7 @@
 #include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "corpus/live_corpus.hh"
 #include "emf/emf.hh"
 #include "gmn/similarity.hh"
 #include "gmn/window_sched.hh"
@@ -111,10 +79,6 @@
 #include "gmn/model.hh"
 #include "hash/xxhash.hh"
 #include "obs/perf_counters.hh"
-#include "tensor/workspace.hh"
-#include "retrieval/retrieval.hh"
-#include "serve/loadgen.hh"
-#include "serve/service.hh"
 #include "tensor/matrix.hh"
 
 using namespace cegma;
@@ -337,241 +301,6 @@ writeE2eJson(const std::vector<E2eRecord> &records,
         std::fclose(out);
 }
 
-// ---- Serving latency/throughput sweep (--serving) -------------------
-
-struct ServingRecord
-{
-    std::string model;
-    std::string mode;
-    uint32_t threads;
-    uint32_t requests;
-    double offeredQps;
-    double achievedQps;
-    double p50Ms;
-    double p95Ms;
-    double p99Ms;
-    double batchMean;
-    double cacheHitRate;
-    double dedupSkipRatio;
-
-    // Overload-robustness counters (nonzero only when the sweep is
-    // run with deadlines/shedding/faults enabled).
-    uint64_t expired;
-    uint64_t shed;
-    uint64_t retries;
-
-    // Per-stage latency breakdown: each stage's share of the total
-    // accounted time (queue wait + embed + match + dedup + head +
-    // memo lookups). Stage times are thread-time sums, so the shares
-    // describe where the compute went, not wall-clock fractions.
-    double embedShare;
-    double matchShare;
-    double dedupShare;
-    double headShare;
-    double memoShare;
-    double queueShare;
-
-    // Rolling-window telemetry at the end of the run: the 1-minute
-    // p99 (gauge `serve.win1m.p99_us`) and the 1-minute SLO burn rate
-    // against a 2x-dense-request-time target at 99% objective
-    // (`serve.slo.burn.win1m`; 1.0 = burning budget exactly at the
-    // allowed rate).
-    double win1mP99Ms;
-    double sloBurn1m;
-
-    // Pipelined execution (PR-10): the engine's queue depth (0 = the
-    // monolithic batch path) and the workspace pool's miss rate over
-    // this run — flat-after-warm-up shows up as a near-zero rate.
-    uint32_t pipelineDepth;
-    double workspaceMissRate;
-};
-
-/** The numeric value of registry metric `name`, or 0 if absent. */
-double
-registryNumber(const obs::RegistrySnapshot &snap,
-               const std::string &name)
-{
-    for (const obs::MetricValue &m : snap.metrics) {
-        if (m.name != name)
-            continue;
-        switch (m.kind) {
-        case obs::MetricValue::Kind::Counter:
-            return static_cast<double>(m.counter);
-        case obs::MetricValue::Kind::Gauge:
-            return static_cast<double>(m.gauge);
-        case obs::MetricValue::Kind::FloatGauge:
-            return m.fgauge;
-        case obs::MetricValue::Kind::Histogram:
-            return m.hist.mean;
-        }
-    }
-    return 0.0;
-}
-
-/** The stage shares of `snap`, normalized over the accounted total. */
-void
-fillStageShares(const MetricsSnapshot &snap, ServingRecord &rec)
-{
-    double total = snap.stageQueueMs + snap.stageEmbedMs +
-                   snap.stageMatchMs + snap.stageDedupMs +
-                   snap.stageHeadMs + snap.stageMemoMs;
-    auto share = [total](double ms) {
-        return total > 0.0 ? ms / total : 0.0;
-    };
-    rec.embedShare = share(snap.stageEmbedMs);
-    rec.matchShare = share(snap.stageMatchMs);
-    rec.dedupShare = share(snap.stageDedupMs);
-    rec.headShare = share(snap.stageHeadMs);
-    rec.memoShare = share(snap.stageMemoMs);
-    rec.queueShare = share(snap.stageQueueMs);
-}
-
-/** The serving comparison: baseline vs the full elastic runtime. */
-const struct
-{
-    const char *name;
-    bool dedup;
-    bool memo;
-    uint32_t pipelineDepth; ///< 0 = monolithic batch path
-} kServingModes[] = {
-    {"dense", false, false, 0},
-    {"dedup+memo", true, true, 0},
-    {"dedup+memo+pipeline", true, true, 2},
-};
-
-std::vector<ServingRecord>
-runServingSweep(uint32_t num_queries, uint32_t num_candidates,
-                uint32_t requests, double load_fraction)
-{
-    CloneSearchCorpus corpus = makeCloneSearchCorpus(
-        DatasetId::RD_B, num_queries, num_candidates);
-    const uint32_t threads = ThreadPool::instance().threads();
-    std::vector<ServingRecord> records;
-    for (ModelId model : allModels()) {
-        // Calibrate the offered load from the *dense* per-request cost
-        // (one query scanned across the candidate database) so that
-        // the schedule is feasible for the baseline; both modes then
-        // face the byte-identical arrival times.
-        Dataset probe = makeCloneSearchDataset(DatasetId::RD_B, 1,
-                                               num_candidates);
-        FunctionalResult dense_probe =
-            runFunctional(model, probe, FunctionalOptions{});
-        double request_ms =
-            dense_probe.msPerPair() *
-            static_cast<double>(num_candidates);
-        double offered_qps =
-            request_ms > 0.0 ? load_fraction * 1e3 / request_ms : 1.0;
-
-        for (const auto &mode : kServingModes) {
-            ServeConfig config;
-            config.model = model;
-            config.dedup = mode.dedup;
-            config.memo = mode.memo;
-            config.maxBatch = 8;
-            config.flushMicros = 2000;
-            // Exercise the telemetry plane under the benchmarked load:
-            // per-request stage attribution on, and an SLO of 2x the
-            // dense per-request service time at 99%. Queueing pushes
-            // the dense baseline past that target routinely, so its
-            // burn rate is large while dedup+memo holds near zero —
-            // the SLO readout *is* the elastic-runtime argument.
-            config.attribution = true;
-            config.slo.targetMs = 2.0 * request_ms;
-            config.slo.objective = 0.99;
-            config.pipelineDepth = mode.pipelineDepth;
-            // The pool is process-global: bracket the run so the miss
-            // rate is this run's own, not the sweep's cumulative one.
-            WorkspaceStats ws_before = WorkspacePool::instance().stats();
-            SearchService service(config, corpus.candidates);
-            LoadGenResult run = runOpenLoop(
-                service, corpus.queries, requests, offered_qps, 11);
-            service.shutdown();
-            // Post-shutdown the window gauges are frozen at their
-            // end-of-run values, so this snapshot reads the final
-            // rolling 1-minute state.
-            obs::RegistrySnapshot reg = service.registry().snapshot();
-            if (run.errors > 0)
-                fatal("serving sweep: %zu rejected requests",
-                      static_cast<size_t>(run.errors));
-
-            ServingRecord rec;
-            rec.model = modelConfig(model).name;
-            rec.mode = mode.name;
-            rec.threads = threads;
-            rec.requests = requests;
-            rec.offeredQps = offered_qps;
-            rec.achievedQps = run.achievedQps;
-            rec.p50Ms = run.metrics.latencyP50Ms;
-            rec.p95Ms = run.metrics.latencyP95Ms;
-            rec.p99Ms = run.metrics.latencyP99Ms;
-            rec.batchMean = run.metrics.batchMean;
-            rec.cacheHitRate = run.metrics.cacheHitRate;
-            rec.dedupSkipRatio = run.metrics.dedupSkipRatio;
-            rec.expired = run.metrics.expired;
-            rec.shed = run.metrics.shed;
-            rec.retries = run.metrics.retries;
-            fillStageShares(run.metrics, rec);
-            rec.win1mP99Ms =
-                registryNumber(reg, "serve.win1m.p99_us") / 1e3;
-            rec.sloBurn1m = registryNumber(reg, "serve.slo.burn.win1m");
-            rec.pipelineDepth = mode.pipelineDepth;
-            WorkspaceStats ws_after = WorkspacePool::instance().stats();
-            double ws_hits = static_cast<double>(ws_after.hits -
-                                                 ws_before.hits);
-            double ws_misses = static_cast<double>(ws_after.misses -
-                                                   ws_before.misses);
-            rec.workspaceMissRate =
-                ws_hits + ws_misses > 0.0
-                    ? ws_misses / (ws_hits + ws_misses)
-                    : 0.0;
-            records.push_back(std::move(rec));
-        }
-    }
-    return records;
-}
-
-void
-writeServingJson(const std::vector<ServingRecord> &records,
-                 const std::string &path)
-{
-    FILE *out = path == "-" ? stdout : std::fopen(path.c_str(), "w");
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    std::fprintf(out, "[\n");
-    for (size_t i = 0; i < records.size(); ++i) {
-        const ServingRecord &r = records[i];
-        std::fprintf(out,
-                     "  {\"model\": \"%s\", \"mode\": \"%s\", "
-                     "\"threads\": %" PRIu32 ", \"requests\": %" PRIu32
-                     ", \"offered_qps\": %.3f, "
-                     "\"achieved_qps\": %.3f, \"p50_ms\": %.3f, "
-                     "\"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-                     "\"batch_mean\": %.2f, \"cache_hit_rate\": %.3f, "
-                     "\"dedup_skip_ratio\": %.3f, "
-                     "\"expired\": %" PRIu64 ", \"shed\": %" PRIu64
-                     ", \"retries\": %" PRIu64 ", "
-                     "\"embed_share\": %.3f, \"match_share\": %.3f, "
-                     "\"dedup_share\": %.3f, \"head_share\": %.3f, "
-                     "\"memo_share\": %.3f, \"queue_share\": %.3f, "
-                     "\"win1m_p99_ms\": %.3f, "
-                     "\"slo_burn_1m\": %.3f, "
-                     "\"pipeline_depth\": %" PRIu32 ", "
-                     "\"workspace_miss_rate\": %.4f}%s\n",
-                     r.model.c_str(), r.mode.c_str(), r.threads,
-                     r.requests, r.offeredQps, r.achievedQps, r.p50Ms,
-                     r.p95Ms, r.p99Ms, r.batchMean, r.cacheHitRate,
-                     r.dedupSkipRatio, r.expired, r.shed, r.retries,
-                     r.embedShare, r.matchShare,
-                     r.dedupShare, r.headShare, r.memoShare,
-                     r.queueShare, r.win1mP99Ms, r.sloBurn1m,
-                     r.pipelineDepth, r.workspaceMissRate,
-                     i + 1 < records.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    if (out != stdout)
-        std::fclose(out);
-}
-
 // ---- Retrieval cascade recall/speedup sweep (--retrieval) -----------
 
 struct RetrievalRecord
@@ -656,11 +385,23 @@ runRetrievalSweep(uint32_t num_queries, uint32_t num_candidates)
     base.indexBuildMs = 0.0;
     records.push_back(base);
 
+    // The cascade runs on a live corpus bootstrapped with the
+    // candidates and never mutated, so slot c is candidate c. SimGNN
+    // decomposes its head, so the corpus stores its model-aware
+    // descriptors.
     RetrievalConfig cfg;
     cfg.mode = RetrievalMode::Cascade;
-    RetrievalIndex index;
+    std::vector<uint64_t> ids(num_candidates);
+    std::iota(ids.begin(), ids.end(), uint64_t{0});
+    LiveCorpus index;
     auto build_start = clock::now();
-    index.build(corpus.candidates, *model, cfg);
+    index.enableIndex(cfg, true,
+                      [&model](const Graph &g, std::vector<float> &out) {
+                          out.resize(model->coarseDim());
+                          model->coarseDescriptor(g, out.data());
+                      });
+    index.bootstrap(std::move(corpus.candidates), std::move(ids));
+    const LiveCorpus::SnapshotPtr snap = index.pin();
     const double build_ms =
         std::chrono::duration<double, std::milli>(clock::now() -
                                                   build_start)
@@ -678,14 +419,14 @@ runRetrievalSweep(uint32_t num_queries, uint32_t num_candidates)
                 auto t0 = clock::now();
                 RetrievalStages st;
                 std::vector<uint32_t> list = index.shortlist(
-                    corpus.queries[q], *model, &st);
+                    *snap, corpus.queries[q], *model, &st);
                 std::vector<double> scores(list.size());
                 parallelFor(0, list.size(), 8,
                             [&](size_t a, size_t b) {
                                 for (size_t i = a; i < b; ++i)
                                     scores[i] = model->score(
                                         GraphPairView(
-                                            corpus.candidates[list[i]],
+                                            snap->graph(list[i]),
                                             corpus.queries[q]));
                             });
                 std::vector<double> top = scores;
@@ -771,242 +512,6 @@ writeRetrievalJson(const std::vector<RetrievalRecord> &records,
         std::fclose(out);
 }
 
-// ---- Live-corpus mutation sweep (--live) ----------------------------
-
-struct LiveRecord
-{
-    std::string model;
-    uint32_t threads;
-    uint32_t queries;
-    uint32_t candidates;
-    uint32_t requests;
-    double mutateRate; ///< mutations per query (fraction of QPS)
-    uint64_t inserts;
-    uint64_t removes;
-    uint64_t epochs;
-    uint64_t epochsReclaimed;
-    double offeredQps;
-    double p50Ms;
-    double p95Ms;
-    double p99Ms;
-    double recallAt10;
-};
-
-/**
- * Serving latency and recall@10 under live mutation: the cascade
- * service (SimGNN, shortlist 64) over an AIDS corpus, driven open-loop
- * at a calibrated QPS while 0% / 1% / 10% of requests carry corpus
- * mutations. Every returned score is checked bit-identical to the
- * standalone exact score — which is epoch-independent — and recall is
- * judged per request against the oracle top-10 of *that request's
- * epoch* (its result carries the pinned epoch's live ids), tie-aware
- * like the --retrieval sweep. Mutation cost shows up honestly: epoch
- * publication and descriptor computation ride the arrival thread and
- * the postings lock, so the p95/p99 delta across rates is the price
- * of staying online.
- */
-std::vector<LiveRecord>
-runLiveSweep(uint32_t num_queries, uint32_t num_candidates,
-             uint32_t requests, double load_fraction)
-{
-    const size_t K = 10;
-    using clock = std::chrono::steady_clock;
-    CloneSearchCorpus corpus = makeCloneSearchCorpus(
-        DatasetId::AIDS, num_queries, num_candidates);
-    std::unique_ptr<GmnModel> oracle_model = makeModel(ModelId::SimGnn);
-    const uint32_t threads = ThreadPool::instance().threads();
-    const double kRates[] = {0.0, 0.01, 0.10};
-
-    // One shared insert pool, sized for the highest rate — lower
-    // rates draw a prefix, so the inserted graphs are comparable
-    // across rates.
-    uint32_t pool_size =
-        static_cast<uint32_t>(kRates[2] * requests) + 4;
-    MutationPool pool =
-        makeMutationPool(DatasetId::AIDS, pool_size, 7);
-
-    // Exact (query, candidate) scores are epoch-independent, so ONE
-    // oracle matrix over bootstrap + pool graphs serves every epoch
-    // of every rate: the oracle top-10 at epoch e is just the top-10
-    // over that epoch's live id set.
-    std::vector<const Graph *> col_graph;
-    std::unordered_map<uint64_t, size_t> col_of;
-    for (size_t c = 0; c < corpus.candidates.size(); ++c) {
-        col_of[corpus.candidateIds[c]] = col_graph.size();
-        col_graph.push_back(&corpus.candidates[c]);
-    }
-    for (size_t p = 0; p < pool.graphs.size(); ++p) {
-        col_of[pool.ids[p]] = col_graph.size();
-        col_graph.push_back(&pool.graphs[p]);
-    }
-    std::vector<std::vector<double>> exact(num_queries);
-    for (uint32_t q = 0; q < num_queries; ++q) {
-        exact[q].resize(col_graph.size());
-        parallelFor(0, col_graph.size(), 8, [&](size_t a, size_t b) {
-            for (size_t c = a; c < b; ++c)
-                exact[q][c] = oracle_model->score(GraphPairView(
-                    *col_graph[c], corpus.queries[q]));
-        });
-    }
-
-    double offered_qps = 0.0; // calibrated on the first service
-    std::vector<LiveRecord> records;
-    for (double rate : kRates) {
-        ServeConfig config;
-        config.model = ModelId::SimGnn;
-        config.maxBatch = 8;
-        config.flushMicros = 2000;
-        config.topK = static_cast<uint32_t>(K);
-        config.retrieval.mode = RetrievalMode::Cascade;
-        config.retrieval.shortlist = 64;
-        SearchService service(config, corpus.candidates,
-                              corpus.candidateIds);
-
-        if (offered_qps == 0.0) {
-            // Calibrate once from the solo request latency, so every
-            // rate faces the byte-identical arrival schedule.
-            auto t0 = clock::now();
-            for (uint32_t w = 0; w < 2; ++w)
-                service.submit(corpus.queries[w % num_queries]).get();
-            double solo_sec =
-                std::chrono::duration<double>(clock::now() - t0)
-                    .count() /
-                2.0;
-            offered_qps =
-                solo_sec > 0.0 ? load_fraction / solo_sec : 1.0;
-        }
-
-        MutationMix mix;
-        mix.perQuery = rate;
-        mix.publishBatch = 2;
-        MutationPlan plan = planMutations(corpus.candidateIds, pool,
-                                          requests, mix, 23);
-
-        // Open-loop drive with the mutation stream inline, futures
-        // kept — recall needs each request's own (epoch, ids, topK).
-        Rng rng(11);
-        std::vector<double> arrival_sec(requests);
-        double t = 0.0;
-        for (uint32_t i = 0; i < requests; ++i) {
-            t += -std::log1p(-rng.nextDouble()) / offered_qps;
-            arrival_sec[i] = t;
-        }
-        std::vector<std::future<QueryResult>> futures;
-        futures.reserve(requests);
-        auto start = clock::now();
-        for (uint32_t i = 0; i < requests; ++i) {
-            auto when =
-                start + std::chrono::duration_cast<clock::duration>(
-                            std::chrono::duration<double>(
-                                arrival_sec[i]));
-            std::this_thread::sleep_until(when);
-            for (const MutationOp &op : plan.before[i]) {
-                bool ok = op.isInsert
-                              ? service.insert(
-                                    op.id, pool.graphs[op.poolIndex])
-                              : service.remove(op.id);
-                if (!ok)
-                    fatal("live sweep: planned mutation refused");
-            }
-            if (plan.flushBefore[i])
-                service.flushMutations();
-            futures.push_back(
-                service.submit(corpus.queries[i % num_queries]));
-        }
-        service.flushMutations();
-
-        // Reap: latency percentiles over exactly the timed requests,
-        // recall + bit-identity against the per-epoch oracle.
-        std::vector<double> total_ms;
-        total_ms.reserve(requests);
-        size_t hits = 0;
-        for (uint32_t i = 0; i < requests; ++i) {
-            QueryResult result = futures[i].get();
-            total_ms.push_back(result.totalMs);
-            uint32_t q = i % num_queries;
-            const std::vector<uint64_t> &ids = *result.ids;
-            // Oracle top-10 of THIS request's epoch: kth-best exact
-            // score over the live id set the result declares.
-            std::vector<double> live_scores(ids.size());
-            for (size_t c = 0; c < ids.size(); ++c)
-                live_scores[c] = exact[q][col_of.at(ids[c])];
-            size_t keep = std::min(K, live_scores.size());
-            std::vector<double> sorted = live_scores;
-            std::nth_element(sorted.begin(),
-                             sorted.begin() +
-                                 static_cast<ptrdiff_t>(keep - 1),
-                             sorted.end(), std::greater<>());
-            double kth = sorted[keep - 1];
-            for (const SearchHit &hit : result.topK) {
-                if (hit.score != live_scores[hit.candidate])
-                    fatal("live sweep: served score differs from the "
-                          "oracle at epoch %" PRIu64,
-                          result.epoch);
-                if (hit.score >= kth)
-                    ++hits;
-            }
-        }
-        std::sort(total_ms.begin(), total_ms.end());
-        auto pct = [&](double p) {
-            size_t idx = static_cast<size_t>(
-                p * static_cast<double>(total_ms.size() - 1));
-            return total_ms[idx];
-        };
-        MetricsSnapshot snap = service.metrics();
-        service.shutdown();
-
-        LiveRecord rec;
-        rec.model = modelConfig(ModelId::SimGnn).name;
-        rec.threads = threads;
-        rec.queries = num_queries;
-        rec.candidates = num_candidates;
-        rec.requests = requests;
-        rec.mutateRate = rate;
-        rec.inserts = snap.corpusInserts;
-        rec.removes = snap.corpusRemoves;
-        rec.epochs = snap.corpusEpoch;
-        rec.epochsReclaimed = snap.corpusEpochsReclaimed;
-        rec.offeredQps = offered_qps;
-        rec.p50Ms = pct(0.50);
-        rec.p95Ms = pct(0.95);
-        rec.p99Ms = pct(0.99);
-        rec.recallAt10 = static_cast<double>(hits) /
-                         static_cast<double>(requests * K);
-        records.push_back(std::move(rec));
-    }
-    return records;
-}
-
-void
-writeLiveJson(const std::vector<LiveRecord> &records,
-              const std::string &path)
-{
-    FILE *out = path == "-" ? stdout : std::fopen(path.c_str(), "w");
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    std::fprintf(out, "[\n");
-    for (size_t i = 0; i < records.size(); ++i) {
-        const LiveRecord &r = records[i];
-        std::fprintf(
-            out,
-            "  {\"model\": \"%s\", \"threads\": %" PRIu32
-            ", \"queries\": %" PRIu32 ", \"candidates\": %" PRIu32
-            ", \"requests\": %" PRIu32 ", \"mutate_rate\": %.2f, "
-            "\"inserts\": %" PRIu64 ", \"removes\": %" PRIu64
-            ", \"epochs\": %" PRIu64 ", \"epochs_reclaimed\": %" PRIu64
-            ", \"offered_qps\": %.3f, \"p50_ms\": %.3f, "
-            "\"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-            "\"recall_at_10\": %.4f}%s\n",
-            r.model.c_str(), r.threads, r.queries, r.candidates,
-            r.requests, r.mutateRate, r.inserts, r.removes, r.epochs,
-            r.epochsReclaimed, r.offeredQps, r.p50Ms, r.p95Ms, r.p99Ms,
-            r.recallAt10, i + 1 < records.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    if (out != stdout)
-        std::fclose(out);
-}
-
 } // namespace
 
 int
@@ -1015,17 +520,12 @@ main(int argc, char **argv)
     setVerbose(false);
     std::string out_path;
     bool e2e = false;
-    bool serving = false;
     bool retrieval = false;
-    bool live = false;
     uint32_t num_queries = 4;
     uint32_t num_candidates = 4;
     bool queries_set = false;
     bool candidates_set = false;
     uint32_t reps = 2;
-    uint32_t requests = 48;
-    bool requests_set = false;
-    double load_fraction = 0.6;
     std::vector<uint32_t> thread_counts = {1, 2, 4};
     double min_ms = 200.0;
 
@@ -1040,20 +540,11 @@ main(int argc, char **argv)
             out_path = next();
         } else if (arg == "--kernels") {
             // Default mode; accepted explicitly for symmetry with
-            // --e2e / --serving.
+            // --e2e / --retrieval.
         } else if (arg == "--e2e") {
             e2e = true;
-        } else if (arg == "--serving") {
-            serving = true;
         } else if (arg == "--retrieval") {
             retrieval = true;
-        } else if (arg == "--live") {
-            live = true;
-        } else if (arg == "--requests") {
-            requests = flagValue<uint32_t>("--requests", next(), 1);
-            requests_set = true;
-        } else if (arg == "--load") {
-            load_fraction = flagValue("--load", next(), 0.0, 100.0);
         } else if (arg == "--queries") {
             num_queries = flagValue<uint32_t>("--queries", next(), 1);
             queries_set = true;
@@ -1081,41 +572,17 @@ main(int argc, char **argv)
                          "       %s --e2e [--out FILE|-] "
                          "[--threads LIST] [--queries Q] "
                          "[--candidates C] [--reps R]\n"
-                         "       %s --serving [--out FILE|-] "
-                         "[--threads LIST] [--queries Q] "
-                         "[--candidates C] [--requests N] [--load F]\n"
                          "       %s --retrieval [--out FILE|-] "
                          "[--threads LIST] [--queries Q] "
                          "[--candidates C]\n",
-                         argv[0], argv[0], argv[0], argv[0]);
+                         argv[0], argv[0], argv[0]);
             return 2;
         }
     }
     if (out_path.empty()) {
-        out_path = live      ? "BENCH_live.json"
-                   : retrieval ? "BENCH_retrieval.json"
-                   : serving ? "BENCH_serving.json"
+        out_path = retrieval ? "BENCH_retrieval.json"
                    : e2e     ? "BENCH_e2e.json"
                              : "BENCH_kernels.json";
-    }
-
-    if (live) {
-        // Sized like the --retrieval acceptance sweep: a 10^5 AIDS
-        // corpus, fewer queries (the oracle matrix is per query).
-        if (!queries_set)
-            num_queries = 8;
-        if (!candidates_set)
-            num_candidates = 100000;
-        if (!requests_set)
-            requests = 200; // 1% of QPS must round to >= 1 mutation
-        ThreadPool::instance().setThreads(thread_counts.back());
-        std::vector<LiveRecord> records = runLiveSweep(
-            num_queries, num_candidates, requests, load_fraction);
-        writeLiveJson(records, out_path);
-        if (out_path != "-")
-            std::printf("wrote %zu records to %s\n", records.size(),
-                        out_path.c_str());
-        return 0;
     }
 
     if (retrieval) {
@@ -1129,17 +596,6 @@ main(int argc, char **argv)
         std::vector<RetrievalRecord> records =
             runRetrievalSweep(num_queries, num_candidates);
         writeRetrievalJson(records, out_path);
-        if (out_path != "-")
-            std::printf("wrote %zu records to %s\n", records.size(),
-                        out_path.c_str());
-        return 0;
-    }
-
-    if (serving) {
-        ThreadPool::instance().setThreads(thread_counts.back());
-        std::vector<ServingRecord> records = runServingSweep(
-            num_queries, num_candidates, requests, load_fraction);
-        writeServingJson(records, out_path);
         if (out_path != "-")
             std::printf("wrote %zu records to %s\n", records.size(),
                         out_path.c_str());
